@@ -67,10 +67,10 @@ def _grid(args) -> DiskGrid:
         return STANDARD_GRID
     radii = (
         tuple(float(r) for r in args.grid_radii.split(","))
-        if args.grid_radii
+        if args.grid_radii is not None
         else STANDARD_GRID.radii
     )
-    angles = args.grid_angles if args.grid_angles else STANDARD_GRID.angles
+    angles = args.grid_angles if args.grid_angles is not None else STANDARD_GRID.angles
     return DiskGrid(radii=radii, angles=angles, tag="cli-override")
 
 
@@ -93,11 +93,13 @@ def _write(path: str, text: str) -> None:
 def write_grid_csv(f, p: ClassParams, grid: DiskGrid, path: str) -> None:
     """CSV of the functional over the grid: r,theta,re_E,im_E,jacobian,
     one row per grid point in grid order, 17 significant digits."""
-    from .harmonic import class_functional
+    from .harmonic import _as_harmonic, _functional_at, _weighted_series
 
+    f = _as_harmonic(f)  # else jacobian() converts a fixed-sign form at every point
+    series = _weighted_series(f, p)
     lines = ["r,theta,re_E,im_E,jacobian"]
     for pt in grid.points():
-        e = class_functional(f, p, pt)
+        e = _functional_at(series, pt)
         j = jacobian(f, pt)
         lines.append(
             f"{pt.r:.17g},{pt.theta:.17g},{e.real:.17g},{e.imag:.17g},{j:.17g}"

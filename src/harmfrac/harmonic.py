@@ -198,22 +198,32 @@ def class_functional(f: AnyForm, params, z: EvalPoint) -> complex:
     with the signed co-analytic weight psi.  At z = 0 the value is 1 by
     continuity provided b_1 = 0; otherwise the conj(z)/z term has no limit.
     """
+    return _functional_at(_weighted_series(f, params), z)
+
+
+def _weighted_series(f: AnyForm, params):
+    """(b_1, [(n-1, phi(n) a_n)], [(n, psi(n) b_n)]): the functional's
+    series with its weights applied, so each point only sums powers."""
     from .membership import analytic_weight, coanalytic_weight
 
     f = _as_harmonic(f)
+    a = [(n - 1, analytic_weight(n, params) * c) for n, c in f.a.items()]
+    return f.b1, a, [(n, coanalytic_weight(n, params) * c) for n, c in f.b.items()]
+
+
+def _functional_at(series, z: EvalPoint) -> complex:
+    b1, a_terms, b_terms = series
     zc = z.z
     if zc == 0:
-        if f.b1 != 0:
-            raise SingularEvaluationError(
-                "functional undefined at the origin when b_1 != 0"
-            )
+        if b1 != 0:
+            raise SingularEvaluationError("functional undefined at the origin when b_1 != 0")
         return 1 + 0j
     value = 1 + 0j
-    for n, c in f.a.items():
-        value += analytic_weight(n, params) * c * zc ** (n - 1)
+    for e, wc in a_terms:
+        value += wc * zc**e
     zbar = zc.conjugate()
-    for n, c in f.b.items():
-        value += coanalytic_weight(n, params) * c * zbar**n / zc
+    for n, wc in b_terms:
+        value += wc * zbar**n / zc
     return value
 
 

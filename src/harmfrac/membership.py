@@ -38,7 +38,9 @@ __all__ = [
 VERDICT_TOLERANCE = 1e-12
 
 # Below this magnitude a co-analytic weight is treated as degenerate: the
-# corresponding b_n is unconstrained by the coefficient bound.
+# corresponding b_n is unconstrained by the coefficient bound.  This is
+# numerical zero for certification; verify._PSI_SKIP (1e-9) is looser only
+# to keep the member sampler away from huge magnitudes.
 DEGENERATE_WEIGHT = 1e-14
 
 

@@ -9,10 +9,12 @@ is evidence, not proof.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, class_functional
+from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, _functional_at, _weighted_series
 from .membership import (
     ClassParams,
     analytic_weight,
@@ -34,6 +36,8 @@ __all__ = [
     "verify_necessity",
 ]
 
+# Looser than membership.DEGENERATE_WEIGHT (1e-14, numerical zero for certification) on
+# purpose: the sampler would otherwise divide a budget by a tiny weight into a huge magnitude.
 _PSI_SKIP = 1e-9  # b-indices whose weight is this small are skipped by the sampler
 
 
@@ -49,17 +53,18 @@ class DiskGrid:
         r = self.radii
         if not r or any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("radii must be nonempty and strictly increasing")
-        if not 0 < r[0] or not r[-1] < 1:
-            raise ValueError("radii must lie in (0, 1)")
-        if self.angles < 8:
-            raise ValueError(f"need at least 8 angles, got {self.angles}")
+        if not all(0 < x < 1 for x in r):
+            raise ValueError(f"radii must be finite and lie in (0, 1), got {r}")
+        if not isinstance(self.angles, int) or isinstance(self.angles, bool) or self.angles < 8:
+            raise ValueError(f"need an integer number of angles >= 8, got {self.angles!r}")
+
+    @cached_property
+    def _points(self) -> tuple[EvalPoint, ...]:  # built on first use, once per grid
+        r, a = self.radii, self.angles
+        return tuple(EvalPoint.from_polar(x, 2 * math.pi * j / a) for x in r for j in range(a))
 
     def points(self):
-        from math import pi
-
-        for r in self.radii:
-            for j in range(self.angles):
-                yield EvalPoint.from_polar(r, 2 * pi * j / self.angles)
+        return iter(self._points)
 
 
 STANDARD_GRID = DiskGrid(
@@ -74,10 +79,11 @@ def min_real_functional(
 ) -> tuple[float, EvalPoint]:
     """Grid minimum of Re of the class functional and its argmin (first
     grid point on ties; deterministic in grid order)."""
+    series = _weighted_series(f, p)
     best = None
     best_pt = None
     for pt in grid.points():
-        v = class_functional(f, p, pt).real
+        v = _functional_at(series, pt).real
         if best is None or v < best:
             best, best_pt = v, pt
     return best, best_pt
@@ -89,11 +95,19 @@ def radial_deficiency(f: NegativeCoefficientForm, p: ClassParams, r: float) -> f
     The radial expression whose r -> 1 limit is the coefficient bound;
     negative values witness non-membership of a fixed-sign function.
     """
+    return _radial_at(p, _radial_terms(f, p), r)
+
+
+def _radial_terms(f: NegativeCoefficientForm, p: ClassParams) -> list[tuple[int, float]]:
+    """Q(r)'s weighted magnitudes (n-1, w*m), a_abs then b_abs, for reuse across radii."""
+    a = [(n - 1, analytic_weight(n, p) * m) for n, m in f.a_abs.items()]
+    return a + [(n - 1, abs(coanalytic_weight(n, p)) * m) for n, m in f.b_abs.items()]
+
+
+def _radial_at(p: ClassParams, terms: list[tuple[int, float]], r: float) -> float:
     q = 1 - p.beta
-    for n, m in f.a_abs.items():
-        q -= analytic_weight(n, p) * m * r ** (n - 1)
-    for n, m in f.b_abs.items():
-        q -= abs(coanalytic_weight(n, p)) * m * r ** (n - 1)
+    for e, wm in terms:
+        q -= wm * r**e
     return q
 
 
@@ -106,9 +120,10 @@ def find_necessity_witness(
     failure."""
     if coefficient_deficiency(f, p) >= 0:
         raise ValueError("witness search expects a violator (negative deficiency)")
+    terms = _radial_terms(f, p)
     for j in range(1, max_exponent + 1):
         r = 1 - 10.0**-j
-        if radial_deficiency(f, p, r) < 0:
+        if _radial_at(p, terms, r) < 0:
             return r
     return None
 

@@ -12,6 +12,28 @@ GENERAL_HEAVY = '{"kind":"general","a":[[2,0.0,0.9]],"b":[]}'
 
 P = ["--beta", "0.5", "--lambda", "0", "--k", "0", "--nu", "0"]
 
+# `eval` output for a two-term-per-part negative_form file at nu = 0, where
+# every operator weight is exactly 1.
+NEG_FORM_CSV = """\
+r,theta,re_E,im_E,jacobian
+0.29999999999999999,0,0.76609999999999989,0,0.78833625000000018
+0.29999999999999999,0.78539816339744828,0.89185508888532938,-0.082384911114670542,0.86875118631500936
+0.29999999999999999,1.5707963267948966,1.0862400000000001,-0.14765999999999999,1.0247062500000004
+0.29999999999999999,2.3561944901923448,1.1081449111146706,-0.13390491111467057,1.1266613136849908
+0.29999999999999999,3.1415926535897931,1.06142,-2.568574196531659e-17,1.15307625
+0.29999999999999999,3.9269908169872414,1.1081449111146706,0.13390491111467054,1.1266613136849908
+0.29999999999999999,4.7123889803846897,1.0862400000000001,0.14766000000000001,1.0247062500000004
+0.29999999999999999,5.497787143782138,0.89185508888532949,0.082384911114670598,0.86875118631500958
+0.90000000000000002,0,0.22885999999999987,0,0.34068824999999991
+0.90000000000000002,0.78539816339744828,0.67556526665598826,-0.54059473334401176,0.72685152642382744
+0.90000000000000002,1.5707963267948966,1.32816,-0.4429800000000001,1.3154782499999997
+0.90000000000000002,2.3561944901923448,1.3244347333440116,-0.10827473334401168,1.4181049735761722
+0.90000000000000002,3.1415926535897931,1.1148199999999999,-5.185154547589879e-18,1.3182682500000003
+0.90000000000000002,3.9269908169872414,1.3244347333440118,0.10827473334401157,1.4181049735761728
+0.90000000000000002,4.7123889803846897,1.32816,0.44297999999999993,1.3154782499999997
+0.90000000000000002,5.497787143782138,0.67556526665598848,0.54059473334401176,0.72685152642382789
+"""
+
 
 @pytest.fixture
 def member_file(tmp_path):
@@ -240,6 +262,19 @@ class TestEval:
         # round-trips through 17 significant digits exactly
         assert float(row[2]) == 1 - 0.12345678901234568 * 0.9
 
+    def test_negative_form_csv_unchanged(self, tmp_path):
+        # pinned byte for byte: weighting the series once per function must
+        # not move a digit of the per-point output
+        f = tmp_path / "f.json"
+        f.write_text(
+            '{"kind":"negative_form","a_abs":[[2,0.15],[3,0.05]],"b_abs":[[1,0.1],[2,0.04]]}'
+        )
+        out = tmp_path / "grid.csv"
+        params = ["--beta", "0.2", "--lambda", "1.3", "--k", "0.4", "--nu", "0"]
+        argv = ["eval", "--input", str(f), "--output", str(out), *params]
+        assert run([*argv, "--grid-radii", "0.3,0.9", "--grid-angles", "8"]) == 0
+        assert out.read_text() == NEG_FORM_CSV
+
 
 class TestVerify:
     def test_all_suites(self, tmp_path, capsys):
@@ -256,3 +291,26 @@ class TestVerify:
 
     def test_bad_cases(self):
         assert run(["verify", "--cases", "0", *P]) == 2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--grid-angles", "0"],
+            ["--grid-angles", "4"],
+            ["--grid-radii", ""],
+            ["--grid-radii", "0.1,nan,0.5"],
+            ["--grid-radii", "0.5,inf"],
+        ],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, grid):
+        assert run(["verify", "--cases", "1", *grid, *P]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+    def test_bad_grid_eval(self, member_file, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        argv = ["eval", "--input", member_file, "--output", str(out), "--grid-angles", "0", *P]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

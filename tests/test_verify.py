@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,8 +7,12 @@ from harmfrac import (
     STANDARD_GRID,
     ClassParams,
     DiskGrid,
+    EvalPoint,
     HarmonicFunction,
     NegativeCoefficientForm,
+    analytic_weight,
+    class_functional,
+    coanalytic_weight,
     coefficient_deficiency,
     extreme_point_analytic,
     extreme_point_coanalytic,
@@ -22,6 +27,14 @@ from harmfrac import (
 
 P0 = ClassParams(beta=0.5)
 
+# The acceptance suite's parameter sets.
+PARAM_SETS = [
+    ClassParams(beta=0.5),
+    ClassParams(beta=0.5, lam=1, k=1),
+    ClassParams(beta=0.2, lam=1.3, k=0.4, nu=0.5),
+    ClassParams(beta=0.0, lam=0.7, k=0.9, nu=0.25),
+]
+
 
 class TestDiskGrid:
     def test_validation(self):
@@ -32,10 +45,75 @@ class TestDiskGrid:
         with pytest.raises(ValueError):
             DiskGrid(radii=(0.5,), angles=4)
 
+    @pytest.mark.parametrize("radii", [(0.1, math.nan, 0.5), (math.nan,), (0.5, math.inf)])
+    def test_rejects_non_finite_radii(self, radii):
+        with pytest.raises(ValueError):
+            DiskGrid(radii=radii, angles=8)
+
+    @pytest.mark.parametrize("angles", [16.0, True, "16", None])
+    def test_rejects_non_integer_angles(self, angles):
+        with pytest.raises(ValueError):
+            DiskGrid(radii=(0.5,), angles=angles)
+
     def test_standard(self):
         assert STANDARD_GRID.angles == 128
         assert max(STANDARD_GRID.radii) == 0.995
         assert len(list(STANDARD_GRID.points())) == len(STANDARD_GRID.radii) * 128
+
+    def test_points_in_grid_order(self):
+        radii = (0.2, 0.7, 0.9)
+        grid = DiskGrid(radii=radii, angles=12)
+        want = [EvalPoint.from_polar(r, 2 * math.pi * j / 12) for r in radii for j in range(12)]
+        assert list(grid.points()) == want
+        assert list(grid.points()) == want  # a second call on the same grid agrees
+
+
+def _brute_force_min(f: HarmonicFunction, p: ClassParams, grid: DiskGrid):
+    """Grid minimum of Re of the functional with every weight recomputed at
+    every point; first grid point on ties."""
+    best = best_pt = None
+    for pt in grid.points():
+        z = pt.z
+        v = 1 + 0j
+        for n, c in f.a.items():
+            v += analytic_weight(n, p) * c * z ** (n - 1)
+        for n, c in f.b.items():
+            v += coanalytic_weight(n, p) * c * z.conjugate() ** n / z
+        if best is None or v.real < best:
+            best, best_pt = v.real, pt
+    return best, best_pt
+
+
+class TestMinRealFunctionalOracle:
+    @pytest.mark.parametrize("j", range(len(PARAM_SETS)))
+    def test_seeded_members_bit_identical(self, j):
+        p = PARAM_SETS[j]
+        for i in range(5):
+            f = random_member(p, seed=1000 * j + i)
+            low, pt = min_real_functional(f, p)
+            assert (low, pt) == _brute_force_min(f.to_harmonic(), p, STANDARD_GRID)
+
+    @pytest.mark.parametrize("j", range(len(PARAM_SETS)))
+    def test_general_functions_bit_identical(self, j):
+        p = PARAM_SETS[j]
+        rng = random.Random(j)
+        grid = DiskGrid(radii=(0.3, 0.6, 0.9, 0.99), angles=64)
+        for _ in range(5):
+            f = HarmonicFunction(
+                a={n: complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for n in (2, 3, 7)},
+                b={n: complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)) for n in (1, 4)},
+            )
+            assert min_real_functional(f, p, grid) == _brute_force_min(f, p, grid)
+
+    def test_ties_keep_first_point(self):
+        # Re = 1 - 0.2 r^2 cos(2 theta) is smallest at theta = 0 and theta = pi
+        f = HarmonicFunction(a={3: -0.2})
+        grid = DiskGrid(radii=(0.5, 0.9), angles=8)
+        low, pt = min_real_functional(f, P0, grid)
+        tied = [q for q in grid.points() if class_functional(f, P0, q).real == low]
+        assert len(tied) == 2
+        assert pt == tied[0] and pt.r == 0.9 and pt.theta == 0.0
+        assert (low, pt) == _brute_force_min(f, P0, grid)
 
 
 class TestMinRealFunctional:
@@ -109,7 +187,27 @@ class TestRandomViolator:
         assert f.b_abs.get(1, 0.0) < 1
 
 
+def _brute_force_q(f: NegativeCoefficientForm, p: ClassParams, r: float) -> float:
+    q = 1 - p.beta
+    for n, m in f.a_abs.items():
+        q -= analytic_weight(n, p) * m * r ** (n - 1)
+    for n, m in f.b_abs.items():
+        q -= abs(coanalytic_weight(n, p)) * m * r ** (n - 1)
+    return q
+
+
 class TestNecessityWitness:
+    @pytest.mark.parametrize("j", range(len(PARAM_SETS)))
+    def test_seeded_violators_bit_identical(self, j):
+        # weights recomputed at every rung give the same rung and the same Q(r0)
+        p = PARAM_SETS[j]
+        for i in range(20):
+            f = random_violator(p, seed=5000 * j + i, margin=0.01)
+            rungs = [1 - 10.0**-e for e in range(1, 9)]
+            want = next(r for r in rungs if _brute_force_q(f, p, r) < 0)
+            assert find_necessity_witness(f, p) == want
+            assert radial_deficiency(f, p, want) == _brute_force_q(f, p, want)
+
     def test_closed_form_root(self):
         # Q(r) = 0.5 - 0.8 r crosses zero at r = 0.625
         f = NegativeCoefficientForm(a_abs={2: 0.8})
