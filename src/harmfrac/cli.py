@@ -23,8 +23,8 @@ from .family import (
     reconstruct,
 )
 from .harmonic import (
-    HarmonicFunction,
     NegativeCoefficientForm,
+    _parse_entries,
     coefficient_json,
     jacobian,
     parse_coefficient_json,
@@ -74,12 +74,35 @@ def _grid(args) -> DiskGrid:
     return DiskGrid(radii=radii, angles=angles, tag="cli-override")
 
 
-def _read_function(path: str):
+def _read(path: str) -> str:
+    """The CLI's one file reader: an unreadable file is a ValueError (exit 2)."""
     try:
         with open(path) as fh:
-            return parse_coefficient_json(fh.read())
+            return fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_function(path: str):
+    return parse_coefficient_json(_read(path))
+
+
+def _read_weights(path: str) -> WeightDecomposition:
+    """The convex weights that `decompose` writes: t1, and [n, weight] lists t and s."""
+    try:
+        doc = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"weights file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "t1" not in doc:
+        raise ValueError(f"weights file {path} must be an object with a 't1' field")
+    t1 = doc["t1"]
+    if type(t1) is not float and type(t1) is not int:
+        raise ValueError(f"weights file {path}: t1 must be a number, got {t1!r}")
+    return WeightDecomposition(
+        t1=float(t1),
+        t=_parse_entries(doc.get("t", []), "t", 2, float, width=2),
+        s=_parse_entries(doc.get("s", []), "s", 1, float, width=2),
+    )
 
 
 def _write(path: str, text: str) -> None:
@@ -114,13 +137,12 @@ def _cmd_check(args) -> int:
         report = certify_negative_form(f, p)
     else:
         report = certify_general(f, p)
-    print(f"verdict: {report.verdict}  deficiency: {report.deficiency:.17g}")
-    for n, part, contrib in report.per_term:
-        print(f"  {part}[{n}] contributes {contrib:.17g}")
-    for n in report.unconstrained:
-        print(f"  b[{n}] is unconstrained (weight ~ 0)")
+    lines = [f"verdict: {report.verdict}  deficiency: {report.deficiency:.17g}"]
+    lines += [f"  {part}[{n}] contributes {c:.17g}" for n, part, c in report.per_term]
+    lines += [f"  b[{n}] is unconstrained (weight ~ 0)" for n in report.unconstrained]
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.output:
-        _write(args.output, json.dumps(report.to_dict(), indent=2))
+        _write(args.output, json.dumps(report.to_dict()))
     return 0 if report.certified_member else 1
 
 
@@ -176,14 +198,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_combine(args) -> int:
     p = _params(args)
     if args.weights:
-        with open(args.weights) as fh:
-            doc = json.load(fh)
-        w = WeightDecomposition(
-            t1=doc["t1"],
-            t={int(n): x for n, x in doc.get("t", [])},
-            s={int(n): x for n, x in doc.get("s", [])},
-        )
-        f = reconstruct(w, p)
+        f = reconstruct(_read_weights(args.weights), p)
     else:
         if not args.inputs:
             raise ValueError("combine needs --weights FILE or --inputs FILES --ts LIST")

@@ -8,15 +8,16 @@ member's convex weights are recovered termwise and reassembled exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .harmonic import NegativeCoefficientForm
 from .membership import (
-    DEGENERATE_WEIGHT,
     ClassParams,
+    _weights,
     analytic_weight,
-    coanalytic_weight,
     coefficient_deficiency,
+    membership_terms,
 )
 
 __all__ = [
@@ -53,12 +54,14 @@ class WeightDecomposition:
     s: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for label, weights in (("t", self.t), ("s", self.s)):
+        for label, weights, lo in (("t", self.t, 2), ("s", self.s, 1)):
             for n, w in weights.items():
-                if w < -1e-15:
-                    raise ValueError(f"{label}[{n}] must be >= 0, got {w}")
-        if self.t1 < -1e-15:
-            raise ValueError(f"t1 must be >= 0, got {self.t1}")
+                if not isinstance(n, int) or n < lo:
+                    raise ValueError(f"{label} index must be an integer >= {lo}, got {n}")
+                if not -1e-15 <= w < math.inf:
+                    raise ValueError(f"{label}[{n}] must be finite and >= 0, got {w}")
+        if not -1e-15 <= self.t1 < math.inf:
+            raise ValueError(f"t1 must be finite and >= 0, got {self.t1}")
         total = self.t1 + sum(self.t.values()) + sum(self.s.values())
         if abs(total - 1) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {total}")
@@ -80,32 +83,30 @@ def extreme_point_coanalytic(n: int, p: ClassParams) -> NegativeCoefficientForm:
     """
     if n < 1:
         raise ValueError(f"co-analytic extreme point needs n >= 1, got {n}")
-    w = abs(coanalytic_weight(n, p))
-    if w < DEGENERATE_WEIGHT:
+    _, (psi,), degenerate = _weights(p, (), (n,))
+    if degenerate:
         raise DegenerateWeightError(
             f"co-analytic weight vanishes at n = {n}; extreme point undefined"
         )
-    return NegativeCoefficientForm(b_abs={n: (1 - p.beta) / w})
+    return NegativeCoefficientForm(b_abs={n: (1 - p.beta) / abs(psi)})
 
 
 def decompose(f: NegativeCoefficientForm, p: ClassParams) -> WeightDecomposition:
     """Convex weights t_n = phi(n)|a_n|/(1-beta), s_n = |psi(n)||b_n|/(1-beta),
     t1 the remainder.  Requires closed-class membership (sum <= 1 - beta)."""
-    deficiency = coefficient_deficiency(f, p)
+    terms, unconstrained = membership_terms(f, p)
+    one_m_beta = 1 - p.beta
+    deficiency = one_m_beta - sum(term[2] for term in terms)  # as in coefficient_deficiency
     if deficiency < -WEIGHT_SUM_TOL:
         raise MembershipViolation(
             f"coefficient sum exceeds 1 - beta by {-deficiency}; not in the closed class"
         )
-    one_m_beta = 1 - p.beta
-    t = {n: analytic_weight(n, p) * m / one_m_beta for n, m in f.a_abs.items()}
-    s: dict[int, float] = {}
-    for n, m in f.b_abs.items():
-        w = abs(coanalytic_weight(n, p))
-        if w < DEGENERATE_WEIGHT:
-            raise DegenerateWeightError(
-                f"b_{n} != 0 but its weight vanishes; no convex representation"
-            )
-        s[n] = w * m / one_m_beta
+    if unconstrained:
+        raise DegenerateWeightError(
+            f"b_{unconstrained[0]} != 0 but its weight vanishes; no convex representation"
+        )
+    t = {n: wm / one_m_beta for n, part, wm in terms if part == "a"}
+    s = {n: wm / one_m_beta for n, part, wm in terms if part == "b"}
     t1 = max(0.0, 1 - sum(t.values()) - sum(s.values()))
     return WeightDecomposition(t1=t1, t=t, s=s)
 
@@ -114,16 +115,15 @@ def reconstruct(w: WeightDecomposition, p: ClassParams) -> NegativeCoefficientFo
     """Expand t1*z + sum t_n f_n + sum s_n g_n to coefficient form; the
     inverse of ``decompose``."""
     one_m_beta = 1 - p.beta
-    a_abs = {n: tn * one_m_beta / analytic_weight(n, p) for n, tn in w.t.items()}
-    b_abs: dict[int, float] = {}
-    for n, sn in w.s.items():
-        wn = abs(coanalytic_weight(n, p))
-        if wn < DEGENERATE_WEIGHT:
-            raise DegenerateWeightError(
-                f"s_{n} > 0 but its weight vanishes; no extremal coefficient"
-            )
-        b_abs[n] = sn * one_m_beta / wn
-    return NegativeCoefficientForm(a_abs=a_abs, b_abs=b_abs)
+    phi, psi, degenerate = _weights(p, w.t, w.s)
+    if degenerate:
+        raise DegenerateWeightError(
+            f"s_{degenerate[0]} > 0 but its weight vanishes; no extremal coefficient"
+        )
+    return NegativeCoefficientForm(
+        a_abs={n: tn * one_m_beta / wn for (n, tn), wn in zip(w.t.items(), phi)},
+        b_abs={n: sn * one_m_beta / abs(wn) for (n, sn), wn in zip(w.s.items(), psi)},
+    )
 
 
 def convolve(
@@ -198,8 +198,8 @@ def convex_combine(
     add linearly."""
     if len(fs) != len(ts) or not fs:
         raise ValueError("need equally many functions and weights, at least one")
-    if any(t < 0 for t in ts):
-        raise ValueError("combination weights must be nonnegative")
+    if not all(0 <= t < math.inf for t in ts):
+        raise ValueError(f"combination weights must be finite and nonnegative, got {ts}")
     if abs(sum(ts) - 1) > WEIGHT_SUM_TOL:
         raise ValueError(f"combination weights must sum to 1, got {sum(ts)}")
     a: dict[int, float] = {}

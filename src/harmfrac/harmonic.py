@@ -69,8 +69,22 @@ def _clean(coeffs: dict[int, complex], min_index: int, label: str) -> dict[int, 
         if not isinstance(n, int) or n < min_index:
             raise ValueError(f"{label} index must be an integer >= {min_index}, got {n}")
         c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"{label}[{n}] must be finite, got {c}")
         if c != 0:
             out[n] = c
+    return dict(sorted(out.items()))
+
+
+def _clean_magnitudes(mags: dict[int, float], min_index: int, label: str) -> dict[int, float]:
+    out: dict[int, float] = {}
+    for n, m in mags.items():
+        if not isinstance(n, int) or n < min_index:
+            raise ValueError(f"{label} index must be an integer >= {min_index}, got {n}")
+        if not 0 <= m < math.inf:
+            raise ValueError(f"{label}[{n}] must be finite and nonnegative, got {m}")
+        if m != 0:
+            out[n] = float(m)
     return dict(sorted(out.items()))
 
 
@@ -107,18 +121,8 @@ class NegativeCoefficientForm:
     b_abs: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for label, coeffs, lo in (("a_abs", self.a_abs, 2), ("b_abs", self.b_abs, 1)):
-            for n, m in coeffs.items():
-                if not isinstance(n, int) or n < lo:
-                    raise ValueError(f"{label} index must be an integer >= {lo}, got {n}")
-                if m < 0:
-                    raise ValueError(f"{label}[{n}] must be nonnegative, got {m}")
-        object.__setattr__(
-            self, "a_abs", dict(sorted((n, float(m)) for n, m in self.a_abs.items() if m != 0))
-        )
-        object.__setattr__(
-            self, "b_abs", dict(sorted((n, float(m)) for n, m in self.b_abs.items() if m != 0))
-        )
+        object.__setattr__(self, "a_abs", _clean_magnitudes(self.a_abs, 2, "a_abs"))
+        object.__setattr__(self, "b_abs", _clean_magnitudes(self.b_abs, 1, "b_abs"))
 
     @property
     def univalence_violated(self) -> bool:
@@ -204,11 +208,12 @@ def class_functional(f: AnyForm, params, z: EvalPoint) -> complex:
 def _weighted_series(f: AnyForm, params):
     """(b_1, [(n-1, phi(n) a_n)], [(n, psi(n) b_n)]): the functional's
     series with its weights applied, so each point only sums powers."""
-    from .membership import analytic_weight, coanalytic_weight
+    from .membership import _weights
 
     f = _as_harmonic(f)
-    a = [(n - 1, analytic_weight(n, params) * c) for n, c in f.a.items()]
-    return f.b1, a, [(n, coanalytic_weight(n, params) * c) for n, c in f.b.items()]
+    phi, psi, _ = _weights(params, f.a, f.b)
+    a = [(n - 1, w * c) for (n, c), w in zip(f.a.items(), phi)]
+    return f.b1, a, [(n, w * c) for (n, c), w in zip(f.b.items(), psi)]
 
 
 def _functional_at(series, z: EvalPoint) -> complex:
@@ -259,7 +264,8 @@ def parse_coefficient_json(text: str) -> AnyForm:
 
     Two layouts: {"kind": "general", "a": [[n, re, im], ...], "b": ...}
     and {"kind": "negative_form", "a_abs": [[n, mag], ...], "b_abs": ...}.
-    Indices must be strictly increasing within each list.
+    Indices are JSON integers, strictly increasing within each list; values
+    are finite JSON numbers.
     """
     try:
         doc = json.loads(text)
@@ -269,37 +275,45 @@ def parse_coefficient_json(text: str) -> AnyForm:
         raise ValueError("coefficient file must be an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "general":
-        a = _parse_entries(doc.get("a", []), "a", 2, width=3)
-        b = _parse_entries(doc.get("b", []), "b", 1, width=3)
         return HarmonicFunction(
-            a={n: complex(re, im) for n, (re, im) in a.items()},
-            b={n: complex(re, im) for n, (re, im) in b.items()},
+            a=_parse_entries(doc.get("a", []), "a", 2, complex, width=3),
+            b=_parse_entries(doc.get("b", []), "b", 1, complex, width=3),
         )
     if kind == "negative_form":
-        a = _parse_entries(doc.get("a_abs", []), "a_abs", 2, width=2)
-        b = _parse_entries(doc.get("b_abs", []), "b_abs", 1, width=2)
         return NegativeCoefficientForm(
-            a_abs={n: vals[0] for n, vals in a.items()},
-            b_abs={n: vals[0] for n, vals in b.items()},
+            a_abs=_parse_entries(doc.get("a_abs", []), "a_abs", 2, float, width=2),
+            b_abs=_parse_entries(doc.get("b_abs", []), "b_abs", 1, float, width=2),
         )
     raise ValueError(f"unknown coefficient-file kind {kind!r}")
 
 
-def _parse_entries(entries, label: str, min_index: int, width: int):
+def _parse_entries(entries, label: str, min_index: int, value, width: int) -> dict:
+    """{n: value(*rest)} from a list of [n, *rest] entries, in one pass.
+
+    Starting the strictly-increasing check at min_index - 1 also enforces
+    the minimum index and rules out duplicates.  Booleans are not indices
+    and strings are not values, although Python's int and float accept them.
+    """
+    if not isinstance(entries, list):
+        raise ValueError(f"{label} must be a list of entries, got {entries!r}")
     out = {}
-    prev = None
+    prev = min_index - 1
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != width:
             raise ValueError(f"{label} entries must be {width}-element lists, got {entry!r}")
-        n, *vals = entry
-        if not isinstance(n, int) or n < min_index:
-            raise ValueError(f"{label} index must be an integer >= {min_index}, got {n}")
-        if n in out:
-            raise ValueError(f"duplicate {label} index {n}")
-        if prev is not None and n <= prev:
+        n = entry[0]
+        if type(n) is not int or n <= prev:
+            if type(n) is not int or n < min_index:
+                raise ValueError(f"{label} index must be an integer >= {min_index}, got {n}")
+            if n in out:
+                raise ValueError(f"duplicate {label} index {n}")
             raise ValueError(f"{label} indices must be strictly increasing at {n}")
+        vals = entry[1:]
+        for v in vals:
+            if (type(v) is not float and type(v) is not int) or not math.isfinite(v):
+                raise ValueError(f"{label}[{n}] values must be finite numbers, got {v!r}")
+        out[n] = value(*vals)
         prev = n
-        out[n] = tuple(float(v) for v in vals)
     return out
 
 

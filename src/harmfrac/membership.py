@@ -14,10 +14,10 @@ holds strictly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .gammafn import beta as beta_fn
-from .gammafn import operator_weight
 from .harmonic import AnyForm, HarmonicFunction, NegativeCoefficientForm
 
 __all__ = [
@@ -62,8 +62,8 @@ class ClassParams:
     def __post_init__(self):
         if not 0 <= self.beta < 1:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0 <= self.k <= 1:
             raise ValueError(f"k must lie in [0, 1], got {self.k}")
         if not 0 <= self.nu < 1:
@@ -80,11 +80,39 @@ class WeightPair:
     psi_signed: float
 
 
+def _weights(p: ClassParams, a_ns, b_ns) -> tuple[list[float], list[float], list[int]]:
+    """The one weight kernel: phi(n) for each n in a_ns, signed psi(n) for each
+    n in b_ns, in order, and the n in b_ns with |psi(n)| < DEGENERATE_WEIGHT,
+    whose b_n the coefficient bound leaves unconstrained.
+
+    Callers pass valid indices (n >= 2 in a_ns, n >= 1 in b_ns).  Each weight
+    is its bracket times the operator weight Gamma(2-nu)Gamma(n+1)/Gamma(n+1-nu),
+    summed in the log domain in the same order as ``gammafn.operator_weight``,
+    so the results are bit-identical to it.
+    """
+    lam, k, nu = p.lam, p.k, p.nu
+    lgamma, exp = math.lgamma, math.exp
+    c = lgamma(2 - nu)
+    phi = []
+    for n in a_ns:
+        ow = exp((c + lgamma(n + 1)) - lgamma(n + 1 - nu))
+        phi.append((1 + lam * (n - 1) * (1 + n * k)) * ow)
+    psi = []
+    degenerate = []
+    for n in b_ns:
+        ow = exp((c + lgamma(n + 1)) - lgamma(n + 1 - nu))
+        w = (1 - lam * (n + 1) * (1 - n * k)) * ow
+        psi.append(w)
+        if abs(w) < DEGENERATE_WEIGHT:
+            degenerate.append(n)
+    return phi, psi, degenerate
+
+
 def analytic_weight(n: int, p: ClassParams) -> float:
     """phi(n): [1 + lam*(n-1)*(1 + n*k)] times the operator weight, n >= 2."""
     if n < 2:
         raise ValueError(f"analytic weight needs n >= 2, got {n}")
-    return (1 + p.lam * (n - 1) * (1 + n * p.k)) * operator_weight(n, p.nu)
+    return _weights(p, (n,), ())[0][0]
 
 
 def coanalytic_weight(n: int, p: ClassParams) -> float:
@@ -92,7 +120,7 @@ def coanalytic_weight(n: int, p: ClassParams) -> float:
     n >= 1.  Membership sums use |psi|; the sign matters in the functional."""
     if n < 1:
         raise ValueError(f"co-analytic weight needs n >= 1, got {n}")
-    return (1 - p.lam * (n + 1) * (1 - n * p.k)) * operator_weight(n, p.nu)
+    return _weights(p, (), (n,))[1][0]
 
 
 def _magnitudes(f: AnyForm) -> tuple[dict[int, float], dict[int, float]]:
@@ -105,16 +133,13 @@ def membership_terms(f: AnyForm, p: ClassParams):
     """Per-index contributions (n, part, value) to the weighted sum,
     plus the list of b-indices whose weight degenerates to zero."""
     a_abs, b_abs = _magnitudes(f)
-    terms: list[tuple[int, str, float]] = []
-    unconstrained: list[int] = []
-    for n, m in a_abs.items():
-        terms.append((n, "a", analytic_weight(n, p) * m))
-    for n, m in b_abs.items():
-        w = abs(coanalytic_weight(n, p))
-        if w < DEGENERATE_WEIGHT:
-            unconstrained.append(n)
-        else:
-            terms.append((n, "b", w * m))
+    phi, psi, unconstrained = _weights(p, a_abs, b_abs)
+    terms = [(n, "a", w * m) for (n, m), w in zip(a_abs.items(), phi)]
+    terms += [
+        (n, "b", abs(w) * m)
+        for (n, m), w in zip(b_abs.items(), psi)
+        if n not in unconstrained
+    ]
     return terms, unconstrained
 
 
@@ -235,15 +260,13 @@ def boundary_function(
         raise ValueError(
             f"weight magnitudes must sum to 1 - beta = {1 - p.beta}, got {total}"
         )
-    a = {n: complex(c) / analytic_weight(n, p) for n, c in gamma.items() if c != 0}
-    b: dict[int, complex] = {}
-    for n, c in delta.items():
-        if c == 0:
-            continue
-        w = abs(coanalytic_weight(n, p))
-        if w < DEGENERATE_WEIGHT:
-            raise ZeroDivisionError(
-                f"co-analytic weight degenerates at n = {n}; no sharp coefficient"
-            )
-        b[n] = complex(c) / w
-    return HarmonicFunction(a=a, b=b)
+    g = HarmonicFunction(a=gamma, b=delta)  # validated indices, nonzero complex values
+    phi, psi, degenerate = _weights(p, g.a, g.b)
+    if degenerate:
+        raise ZeroDivisionError(
+            f"co-analytic weight degenerates at n = {degenerate[0]}; no sharp coefficient"
+        )
+    return HarmonicFunction(
+        a={n: c / w for (n, c), w in zip(g.a.items(), phi)},
+        b={n: c / abs(w) for (n, c), w in zip(g.b.items(), psi)},
+    )

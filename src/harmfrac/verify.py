@@ -17,10 +17,9 @@ from functools import cached_property
 from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, _functional_at, _weighted_series
 from .membership import (
     ClassParams,
+    _weights,
     analytic_weight,
-    coanalytic_weight,
     coefficient_deficiency,
-    membership_terms,
 )
 
 __all__ = [
@@ -100,8 +99,9 @@ def radial_deficiency(f: NegativeCoefficientForm, p: ClassParams, r: float) -> f
 
 def _radial_terms(f: NegativeCoefficientForm, p: ClassParams) -> list[tuple[int, float]]:
     """Q(r)'s weighted magnitudes (n-1, w*m), a_abs then b_abs, for reuse across radii."""
-    a = [(n - 1, analytic_weight(n, p) * m) for n, m in f.a_abs.items()]
-    return a + [(n - 1, abs(coanalytic_weight(n, p)) * m) for n, m in f.b_abs.items()]
+    phi, psi, _ = _weights(p, f.a_abs, f.b_abs)
+    a = [(n - 1, w * m) for (n, m), w in zip(f.a_abs.items(), phi)]
+    return a + [(n - 1, abs(w) * m) for (n, m), w in zip(f.b_abs.items(), psi)]
 
 
 def _radial_at(p: ClassParams, terms: list[tuple[int, float]], r: float) -> float:
@@ -152,8 +152,9 @@ def random_member(
     u = rng.uniform(0.05, 0.95)
     budget = u * (1 - p.beta)
 
+    phi, psi, _ = _weights(p, range(2, max_index + 1), range(1, max_index + 1))
     a_pool = list(range(2, max_index + 1))
-    b_pool = [n for n in range(1, max_index + 1) if abs(coanalytic_weight(n, p)) > _PSI_SKIP]
+    b_pool = [n for n, w in enumerate(psi, start=1) if abs(w) > _PSI_SKIP]
     a_idx = rng.sample(a_pool, rng.randint(0, len(a_pool)))
     b_idx = rng.sample(b_pool, rng.randint(0, len(b_pool)))
     if not a_idx and not b_idx:
@@ -171,9 +172,9 @@ def random_member(
     for part, n, s in shares:
         amount = budget * s / total
         if part == "a":
-            mag = amount / analytic_weight(n, p)
+            mag = amount / phi[n - 2]
         else:
-            mag = amount / abs(coanalytic_weight(n, p))
+            mag = amount / abs(psi[n - 1])
             if n == 1:
                 mag = min(mag, 0.95)
         if cap_magnitudes is not None:

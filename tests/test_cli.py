@@ -34,6 +34,72 @@ r,theta,re_E,im_E,jacobian
 0.90000000000000002,5.497787143782138,0.67556526665598848,0.54059473334401176,0.72685152642382789
 """
 
+# `check` on seeded files with both parts, a sparse index near 10^6 and the
+# exactly degenerate psi(1) (lambda = 1, k = 0.5), pinned byte for byte: the
+# stdout and the report as the per-index weight path printed them.
+CHECK_PARAMS = ["--beta", "0.1", "--lambda", "1", "--k", "0.5", "--nu", "0.37"]
+CHECK_PINNED = {
+    "negative_form": (
+        '{"kind": "negative_form", "a_abs": [[13, 0.000278059], [21, 0.000104141], '
+        '[32, 4.3429e-05], [39, 1.67661e-05], [999983, 7.88874e-16]], "b_abs": [[1, 0.25], '
+        '[14, 0.000299217], [18, 8.78562e-05], [28, 5.13262e-05], [999979, 5.88863e-16]]}',
+        """\
+verdict: member_iff  deficiency: 0.3904596243581071
+  a[13] contributes 0.059173576945095105
+  a[21] contributes 0.066953099727647597
+  a[32] contributes 0.074440537376639776
+  a[39] contributes 0.04564861781190753
+  a[999983] contributes 0.058731529300907213
+  b[14] contributes 0.065404753025406312
+  b[18] contributes 0.035369612496983768
+  b[28] contributes 0.059978406443450906
+  b[999979] contributes 0.043840242513854676
+  b[1] is unconstrained (weight ~ 0)
+""",
+        '{"verdict": "member_iff", "deficiency": 0.3904596243581071, "per_term": '
+        '[[13, "a", 0.059173576945095105], [21, "a", 0.0669530997276476], '
+        '[32, "a", 0.07444053737663978], [39, "a", 0.04564861781190753], '
+        '[999983, "a", 0.05873152930090721], [14, "b", 0.06540475302540631], '
+        '[18, "b", 0.03536961249698377], [28, "b", 0.059978406443450906], '
+        '[999979, "b", 0.043840242513854676]], "unconstrained": [1], "tolerance": 1e-12, '
+        '"params": {"beta": 0.1, "lambda": 1.0, "k": 0.5, "nu": 0.37}}',
+    ),
+    "general": (
+        '{"kind": "general", "a": [[13, 0.000248034, 0.000125681], '
+        '[21, 1.59344e-05, -0.000102915], [32, 2.91426e-05, -3.21992e-05], '
+        '[39, -6.24051e-06, -1.55614e-05], [999983, -1.10386e-16, -7.81113e-16]], '
+        '"b": [[1, 0.22253, -0.113931], [14, 0.000146491, -0.000260904], '
+        '[18, -5.05018e-05, -7.18907e-05], [28, -5.03193e-05, -1.01168e-05], '
+        '[999979, 3.96023e-16, -4.35804e-16]]}',
+        """\
+verdict: member_sufficient  deficiency: 0.3904596868900978
+  a[13] contributes 0.059173489480545828
+  a[21] contributes 0.066953267791179938
+  a[32] contributes 0.074440568446180647
+  a[39] contributes 0.04564853871171673
+  a[999983] contributes 0.058731548170625508
+  b[14] contributes 0.065404642426317355
+  b[18] contributes 0.03536959570573036
+  b[28] contributes 0.059978438184737734
+  b[999979] contributes 0.043840224192868177
+  b[1] is unconstrained (weight ~ 0)
+""",
+        '{"verdict": "member_sufficient", "deficiency": 0.3904596868900978, "per_term": '
+        '[[13, "a", 0.05917348948054583], [21, "a", 0.06695326779117994], '
+        '[32, "a", 0.07444056844618065], [39, "a", 0.04564853871171673], '
+        '[999983, "a", 0.05873154817062551], [14, "b", 0.06540464242631736], '
+        '[18, "b", 0.03536959570573036], [28, "b", 0.059978438184737734], '
+        '[999979, "b", 0.04384022419286818]], "unconstrained": [1], "tolerance": 1e-12, '
+        '"params": {"beta": 0.1, "lambda": 1.0, "k": 0.5, "nu": 0.37}}',
+    ),
+}
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
 
 @pytest.fixture
 def member_file(tmp_path):
@@ -81,6 +147,38 @@ class TestCheck:
         assert doc["verdict"] == "member_iff"
         assert doc["deficiency"] == pytest.approx(0.1)
         assert doc["params"]["beta"] == 0.5
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_PINNED))
+    def test_pinned_output(self, tmp_path, capsys, kind):
+        text, stdout, report = CHECK_PINNED[kind]
+        path, out = tmp_path / "f.json", tmp_path / "report.json"
+        path.write_text(text)
+        assert run(["check", "--input", str(path), "--output", str(out), *CHECK_PARAMS]) == 0
+        assert capsys.readouterr().out == stdout
+        written = out.read_text()
+        assert "\n" not in written
+        assert json.loads(written) == json.loads(report)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind":"negative_form","a_abs":[[2,NaN]],"b_abs":[]}',
+            '{"kind":"negative_form","a_abs":[],"b_abs":[[2,Infinity]]}',
+            '{"kind":"general","a":[[2,0.1,NaN]],"b":[]}',
+            '{"kind":"general","a":[],"b":[[true,0.1,0.0]]}',
+            '{"kind":"negative_form","a_abs":[[2,"0.1"]],"b_abs":[]}',
+        ],
+    )
+    def test_non_finite_or_mistyped_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        assert run(["check", "--input", str(path), *P]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_param(self, member_file, capsys, lam):
+        assert run(["check", "--input", member_file, "--beta", "0.5", "--lambda", lam]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestWeights:
@@ -167,6 +265,29 @@ class TestDecomposeCombine:
 
     def test_combine_needs_input(self):
         assert run(["combine", *P]) == 2
+
+    def test_combine_missing_weights_file(self, tmp_path, capsys):
+        assert run(["combine", "--weights", str(tmp_path / "nope.json"), *P]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"t": [[2, 0.4]], "s": []}',
+            '{"t1": "0.6", "t": [[2, 0.4]]}',
+            '{"t1": 0.6, "t": [[2, "0.4"]]}',
+            '{"t1": 0.6, "t": [["2", 0.4]]}',
+            '{"t1": 0.6, "t": 5}',
+            '{"t1": 0.6, "t": [[2, NaN]]}',
+            '[0.6]',
+            'not json',
+        ],
+    )
+    def test_combine_bad_weights_file(self, tmp_path, capsys, doc):
+        path = tmp_path / "w.json"
+        path.write_text(doc)
+        assert run(["combine", "--weights", str(path), *P]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestConvolve:

@@ -110,6 +110,15 @@ class TestReconstruct:
             WeightDecomposition(t1=0.5, t={2: 0.2})
         with pytest.raises(ValueError):
             WeightDecomposition(t1=1.2, t={2: -0.2})
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                WeightDecomposition(t1=0.6, t={2: bad})
+            with pytest.raises(ValueError, match="finite"):
+                WeightDecomposition(t1=bad)
+        with pytest.raises(ValueError, match="index"):
+            WeightDecomposition(t1=0.6, t={1: 0.4})
+        with pytest.raises(ValueError, match="index"):
+            WeightDecomposition(t1=0.6, s={0: 0.4})
 
     def test_round_trip_random(self):
         rng = random.Random(31)
@@ -225,5 +234,7 @@ class TestConvexCombine:
             convex_combine([nf(), nf()], [0.5, 0.4])
         with pytest.raises(ValueError):
             convex_combine([nf()], [-1.0])
+        with pytest.raises(ValueError, match="combination weights"):
+            convex_combine([nf(a={2: 0.1}), nf()], [float("nan"), 0.5])
         with pytest.raises(ValueError):
             convex_combine([], [])

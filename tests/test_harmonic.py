@@ -71,6 +71,17 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             NegativeCoefficientForm(a_abs={2: -0.1})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicFunction(a={2: bad})
+        with pytest.raises(ValueError, match="finite"):
+            HarmonicFunction(b={1: complex(0.1, bad)})
+        with pytest.raises(ValueError, match="finite"):
+            NegativeCoefficientForm(a_abs={2: bad})
+        with pytest.raises(ValueError, match="finite"):
+            NegativeCoefficientForm(b_abs={1: bad})
+
 
 class TestEvaluate:
     def test_identity(self):
@@ -265,8 +276,40 @@ class TestCoefficientFiles:
             '{"kind":"general","a":[[3,0.1,0.0],[2,0.2,0.0]],"b":[]}',
             '{"kind":"negative_form","a_abs":[[2,0.1,0.3]],"b_abs":[]}',
             '{"kind":"negative_form","a_abs":[],"b_abs":[[0,0.1]]}',
+            '{"kind":"general","a":[[3,0.1,0.0],[5,0.1,0.0],[3,0.2,0.0]],"b":[]}',
+            '{"kind":"general","a":5,"b":[]}',
+            '{"kind":"general","a":[],"b":[[true,0.1,0.0]]}',
+            '{"kind":"negative_form","a_abs":[],"b_abs":[[false,0.1]]}',
+            '{"kind":"negative_form","a_abs":[[2.0,0.1]],"b_abs":[]}',
+            '{"kind":"general","a":[[2,"0.1",0.0]],"b":[]}',
+            '{"kind":"negative_form","a_abs":[[2,"0.1"]],"b_abs":[]}',
+            '{"kind":"negative_form","a_abs":[[2,true]],"b_abs":[]}',
+            '{"kind":"general","a":[[2,NaN,0.0]],"b":[]}',
+            '{"kind":"general","a":[],"b":[[1,0.1,Infinity]]}',
+            '{"kind":"general","a":[[2,1e999,0.0]],"b":[]}',
+            '{"kind":"negative_form","a_abs":[[2,NaN]],"b_abs":[]}',
+            '{"kind":"negative_form","a_abs":[],"b_abs":[[1,-Infinity]]}',
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_coefficient_json(text)
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ("[[1,0.5,0.0]]", "a index must be an integer >= 2, got 1"),
+            ("[[2,0.1,0.0],[2,0.2,0.0]]", "duplicate a index 2"),
+            ("[[3,0.1,0.0],[5,0.1,0.0],[3,0.2,0.0]]", "duplicate a index 3"),
+            ("[[3,0.1,0.0],[2,0.2,0.0]]", "a indices must be strictly increasing at 2"),
+            ("[[2,0.1]]", "a entries must be 3-element lists, got [2, 0.1]"),
+        ],
+    )
+    def test_parse_error_messages(self, entries, message):
+        with pytest.raises(ValueError) as exc:
+            parse_coefficient_json(f'{{"kind":"general","a":{entries},"b":[]}}')
+        assert str(exc.value) == message
+
+    def test_parse_integer_values(self):
+        f = parse_coefficient_json('{"kind":"general","a":[[2,0,1]],"b":[[1,-0.0,0]]}')
+        assert f.a == {2: 1j} and f.b == {}

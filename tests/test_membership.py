@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from harmfrac import (
     ClassParams,
+    DegenerateWeightError,
     EvalPoint,
     HarmonicFunction,
     NegativeCoefficientForm,
+    WeightDecomposition,
     analytic_weight,
     boundary_function,
     certify_general,
@@ -17,9 +20,15 @@ from harmfrac import (
     class_functional,
     coanalytic_weight,
     coefficient_deficiency,
+    decompose,
+    extreme_point_coanalytic,
     operator_weight,
+    reconstruct,
     specialized_weights,
 )
+from harmfrac.harmonic import _weighted_series
+from harmfrac.membership import _weights, membership_terms
+from harmfrac.verify import _radial_terms
 
 P0 = ClassParams(beta=0.5)
 
@@ -31,6 +40,8 @@ class TestClassParams:
             {"beta": 1.0},
             {"beta": -0.1},
             {"lam": -0.5},
+            {"lam": math.nan},
+            {"lam": math.inf},
             {"k": 1.5},
             {"k": -0.1},
             {"nu": 1.0},
@@ -84,6 +95,107 @@ class TestWeights:
         p_lo = ClassParams(lam=lo, k=k, nu=nu)
         p_hi = ClassParams(lam=hi, k=k, nu=nu)
         assert analytic_weight(n, p_hi) >= analytic_weight(n, p_lo) - 1e-12
+
+
+def _seed_phi(n, p):
+    return (1 + p.lam * (n - 1) * (1 + n * p.k)) * operator_weight(n, p.nu)
+
+
+def _seed_psi(n, p):
+    return (1 - p.lam * (n + 1) * (1 - n * p.k)) * operator_weight(n, p.nu)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+KERNEL_PARAMS = [
+    ClassParams(beta=0.2, lam=1.3, k=0.4, nu=0.5),
+    ClassParams(beta=0.0, lam=0.7, k=0.9, nu=0.25),
+    ClassParams(beta=0.1, lam=1.5, k=0.0, nu=0.9),
+    ClassParams(beta=0.5, lam=1.0, k=1.0, nu=0.0),
+]
+SPARSE_NS = sorted(random.Random(6).sample(range(1, 10**6), 2000)) + [10**6]
+# psi(1) = (1 - 0.5 * 2 * 1) * 1 is exactly 0
+DEGENERATE = ClassParams(beta=0.5, lam=0.5, k=0.0, nu=0.3)
+
+
+class TestWeightKernel:
+    """The batched kernel against the seed's formula: the bracket times
+    gammafn.operator_weight, one index at a time."""
+
+    @pytest.mark.parametrize("p", KERNEL_PARAMS)
+    @pytest.mark.parametrize("ns", [range(1, 5002), SPARSE_NS], ids=["dense", "sparse"])
+    def test_bit_identical_to_seed_formula(self, p, ns):
+        a_ns = [n for n in ns if n >= 2]
+        phi, psi, unconstrained = _weights(p, a_ns, ns)
+        assert _bits(phi) == _bits(_seed_phi(n, p) for n in a_ns)
+        assert _bits(psi) == _bits(_seed_psi(n, p) for n in ns)
+        assert unconstrained == []
+
+    @pytest.mark.parametrize("p", KERNEL_PARAMS)
+    def test_wrappers_bit_identical(self, p):
+        for n in [2, 3, 170, 171, 5001, *SPARSE_NS[::100]]:
+            assert analytic_weight(n, p).hex() == _seed_phi(n, p).hex()
+            assert coanalytic_weight(n, p).hex() == _seed_psi(n, p).hex()
+        assert coanalytic_weight(1, p).hex() == _seed_psi(1, p).hex()
+
+    def test_order_zero_is_the_bracket(self):
+        lam, k = 1.3, 0.4
+        p = ClassParams(lam=lam, k=k, nu=0.0)
+        ns = [1, 2, 7, 5001, 10**6]
+        phi, psi, _ = _weights(p, ns[1:], ns)
+        assert phi == [1 + lam * (n - 1) * (1 + n * k) for n in ns[1:]]
+        assert psi == [1 - lam * (n + 1) * (1 - n * k) for n in ns]
+
+    @pytest.mark.parametrize("nu", [0.25, 0.37, 0.5, 0.9])
+    def test_mpmath_large_index(self, nu):
+        # lgamma(n + 1) and lgamma(n + 1 - nu) are each rounded to a few ulps of
+        # ~n ln n before they cancel, so the relative error grows like
+        # eps * lgamma(n + 1): 1e-12 holds up to n ~ 10^3; beyond that the bound
+        # is the float64 limit of the log-domain formula the seed also used.
+        p = ClassParams(lam=1.3, k=0.4, nu=nu)
+        ns = [171, 300, 500, 1000, 10**4, 10**5, 10**6]
+        phi, psi, _ = _weights(p, ns, ns)
+        with mpmath.workdps(40):
+            lam, k, mnu = mpmath.mpf(p.lam), mpmath.mpf(p.k), mpmath.mpf(nu)
+            for n, a, b in zip(ns, phi, psi):
+                ow = mpmath.gamma(2 - mnu) * mpmath.exp(
+                    mpmath.loggamma(n + 1) - mpmath.loggamma(n + 1 - mnu)
+                )
+                tol = 1e-12 if n <= 1000 else 4 * 2.0**-52 * math.lgamma(n + 1)
+                assert abs(a / ((1 + lam * (n - 1) * (1 + n * k)) * ow) - 1) < tol
+                assert abs(b / ((1 - lam * (n + 1) * (1 - n * k)) * ow) - 1) < tol
+
+    def test_exactly_degenerate_psi_in_every_caller(self):
+        p = DEGENERATE
+        assert coanalytic_weight(1, p) == 0.0
+        assert _weights(p, [2], [1, 2])[2] == [1]
+        f = NegativeCoefficientForm(a_abs={2: 0.1}, b_abs={1: 0.3, 2: 0.01})
+        terms, unconstrained = membership_terms(f, p)
+        assert unconstrained == [1] and [t[:2] for t in terms] == [(2, "a"), (2, "b")]
+        assert certify_negative_form(f, p).unconstrained == [1]
+        assert certify_general(f.to_harmonic(), p).unconstrained == [1]
+        with pytest.raises(ZeroDivisionError):
+            boundary_function(p, gamma={}, delta={1: 0.5})
+        with pytest.raises(DegenerateWeightError):
+            extreme_point_coanalytic(1, p)
+        with pytest.raises(DegenerateWeightError):
+            decompose(f, p)
+        with pytest.raises(DegenerateWeightError):
+            reconstruct(WeightDecomposition(t1=0.5, s={1: 0.5}), p)
+        # The functional and the radial deficiency keep the zero weight.
+        assert _weighted_series(f, p)[2][0] == (1, 0j)
+        assert _radial_terms(f, p)[1] == (0, 0.0)
+
+    def test_rounding_residue_is_degenerate(self):
+        # 1 - (1/3) * 5 * (1 - 4 * 0.1) leaves a residue of ~1e-16, not 0
+        p = ClassParams(lam=1 / 3, k=0.1)
+        _, psi, unconstrained = _weights(p, (), (3, 4))
+        assert psi[1] != 0 and abs(psi[1]) < 1e-15 and unconstrained == [4]
+        f = NegativeCoefficientForm(b_abs={3: 0.1, 4: 0.5})
+        terms, unconstrained = membership_terms(f, p)
+        assert [t[:2] for t in terms] == [(3, "b")] and unconstrained == [4]
 
 
 class TestBracketAlgebra:
