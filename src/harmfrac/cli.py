@@ -87,6 +87,14 @@ def _read_function(path: str):
     return parse_coefficient_json(_read(path))
 
 
+def _read_negative_form(path: str, command: str) -> NegativeCoefficientForm:
+    """The reader of the commands that take only fixed-sign files."""
+    f = _read_function(path)
+    if not isinstance(f, NegativeCoefficientForm):
+        raise ValueError(f"{command} requires negative_form coefficient files, got {path}")
+    return f
+
+
 def _read_weights(path: str) -> WeightDecomposition:
     """The convex weights that `decompose` writes: t1, and [n, weight] lists t and s."""
     try:
@@ -113,12 +121,20 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
+def _emit(text: str, output: str | None) -> int:
+    """Print a coefficient or weights document, write it to --output, exit 0."""
+    print(text)
+    if output:
+        _write(output, text)
+    return 0
+
+
 def write_grid_csv(f, p: ClassParams, grid: DiskGrid, path: str) -> None:
     """CSV of the functional over the grid: r,theta,re_E,im_E,jacobian,
     one row per grid point in grid order, 17 significant digits."""
-    from .harmonic import _as_harmonic, _functional_at, _weighted_series
+    from .harmonic import _functional_at, _weighted_series
 
-    f = _as_harmonic(f)  # else jacobian() converts a fixed-sign form at every point
+    f = f.to_harmonic()  # else jacobian() converts a fixed-sign form at every point
     series = _weighted_series(f, p)
     lines = ["r,theta,re_E,im_E,jacobian"]
     for pt in grid.points():
@@ -169,30 +185,19 @@ def _cmd_extremal(args) -> int:
         f = extreme_point_coanalytic(args.gn, p)
         if f.univalence_violated:
             print("warning: |b_1| >= 1; univalence side condition violated")
-    text = coefficient_json(f)
-    print(text)
-    if args.output:
-        _write(args.output, text)
-    return 0
+    return _emit(coefficient_json(f), args.output)
 
 
 def _cmd_decompose(args) -> int:
     p = _params(args)
-    f = _read_function(args.input)
-    if not isinstance(f, NegativeCoefficientForm):
-        raise ValueError("decompose requires a negative_form coefficient file")
-    w = decompose(f, p)
+    w = decompose(_read_negative_form(args.input, "decompose"), p)
     doc = {
         "t1": w.t1,
         "t": [[n, x] for n, x in w.t.items()],
         "s": [[n, x] for n, x in w.s.items()],
         "params": {"beta": p.beta, "lambda": p.lam, "k": p.k, "nu": p.nu},
     }
-    text = json.dumps(doc, indent=2)
-    print(text)
-    if args.output:
-        _write(args.output, text)
-    return 0
+    return _emit(json.dumps(doc, indent=2), args.output)
 
 
 def _cmd_combine(args) -> int:
@@ -202,25 +207,15 @@ def _cmd_combine(args) -> int:
     else:
         if not args.inputs:
             raise ValueError("combine needs --weights FILE or --inputs FILES --ts LIST")
-        fs = [_read_function(path) for path in args.inputs]
-        if any(not isinstance(g, NegativeCoefficientForm) for g in fs):
-            raise ValueError("combine requires negative_form coefficient files")
+        fs = [_read_negative_form(path, "combine") for path in args.inputs]
         ts = [float(t) for t in args.ts.split(",")] if args.ts else [1 / len(fs)] * len(fs)
         f = convex_combine(fs, ts)
-    text = coefficient_json(f)
-    print(text)
-    if args.output:
-        _write(args.output, text)
-    return 0
+    return _emit(coefficient_json(f), args.output)
 
 
 def _cmd_convolve(args) -> int:
-    f1 = _read_function(args.input)
-    f2 = _read_function(args.input2)
-    if not isinstance(f1, NegativeCoefficientForm) or not isinstance(
-        f2, NegativeCoefficientForm
-    ):
-        raise ValueError("convolve requires negative_form coefficient files")
+    f1 = _read_negative_form(args.input, "convolve")
+    f2 = _read_negative_form(args.input2, "convolve")
     if args.alpha is not None:
         p = _params(args)
         report = check_convolution_closure(f1, f2, args.alpha, args.beta, p)
@@ -231,11 +226,7 @@ def _cmd_convolve(args) -> int:
         f = report.convolution
     else:
         f = convolve(f1, f2)
-    text = coefficient_json(f)
-    print(text)
-    if args.output:
-        _write(args.output, text)
-    return 0
+    return _emit(coefficient_json(f), args.output)
 
 
 def _cmd_eval(args) -> int:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from .harmonic import NegativeCoefficientForm
 from .membership import (
     ClassParams,
+    _membership,
     _weights,
     analytic_weight,
     coefficient_deficiency,
-    membership_terms,
 )
 
 __all__ = [
@@ -56,7 +56,7 @@ class WeightDecomposition:
     def __post_init__(self):
         for label, weights, lo in (("t", self.t, 2), ("s", self.s, 1)):
             for n, w in weights.items():
-                if not isinstance(n, int) or n < lo:
+                if type(n) is not int or n < lo:  # bool is not an index
                     raise ValueError(f"{label} index must be an integer >= {lo}, got {n}")
                 if not -1e-15 <= w < math.inf:
                     raise ValueError(f"{label}[{n}] must be finite and >= 0, got {w}")
@@ -94,9 +94,7 @@ def extreme_point_coanalytic(n: int, p: ClassParams) -> NegativeCoefficientForm:
 def decompose(f: NegativeCoefficientForm, p: ClassParams) -> WeightDecomposition:
     """Convex weights t_n = phi(n)|a_n|/(1-beta), s_n = |psi(n)||b_n|/(1-beta),
     t1 the remainder.  Requires closed-class membership (sum <= 1 - beta)."""
-    terms, unconstrained = membership_terms(f, p)
-    one_m_beta = 1 - p.beta
-    deficiency = one_m_beta - sum(term[2] for term in terms)  # as in coefficient_deficiency
+    terms, unconstrained, deficiency, _ = _membership(f, p)
     if deficiency < -WEIGHT_SUM_TOL:
         raise MembershipViolation(
             f"coefficient sum exceeds 1 - beta by {-deficiency}; not in the closed class"
@@ -105,6 +103,7 @@ def decompose(f: NegativeCoefficientForm, p: ClassParams) -> WeightDecomposition
         raise DegenerateWeightError(
             f"b_{unconstrained[0]} != 0 but its weight vanishes; no convex representation"
         )
+    one_m_beta = 1 - p.beta
     t = {n: wm / one_m_beta for n, part, wm in terms if part == "a"}
     s = {n: wm / one_m_beta for n, part, wm in terms if part == "b"}
     t1 = max(0.0, 1 - sum(t.values()) - sum(s.values()))

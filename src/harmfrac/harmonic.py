@@ -50,7 +50,7 @@ class EvalPoint:
     def from_cartesian(cls, z: complex) -> "EvalPoint":
         z = complex(z)
         r = abs(z)
-        if r >= 1:
+        if not r < 1:  # also rejects NaN
             raise ValueError(f"point must satisfy |z| < 1, got |z| = {r}")
         theta = cmath.phase(z) % (2 * math.pi) if r > 0 else 0.0
         return cls(z, r, theta)
@@ -59,6 +59,8 @@ class EvalPoint:
     def from_polar(cls, r: float, theta: float) -> "EvalPoint":
         if not 0 <= r < 1:
             raise ValueError(f"radius must lie in [0, 1), got {r}")
+        if not math.isfinite(theta):
+            raise ValueError(f"angle must be finite, got {theta}")
         theta = theta % (2 * math.pi)
         return cls(cmath.rect(r, theta), r, theta)
 
@@ -66,7 +68,7 @@ class EvalPoint:
 def _clean(coeffs: dict[int, complex], min_index: int, label: str) -> dict[int, complex]:
     out: dict[int, complex] = {}
     for n, c in coeffs.items():
-        if not isinstance(n, int) or n < min_index:
+        if type(n) is not int or n < min_index:  # bool is not an index
             raise ValueError(f"{label} index must be an integer >= {min_index}, got {n}")
         c = complex(c)
         if not cmath.isfinite(c):
@@ -79,7 +81,7 @@ def _clean(coeffs: dict[int, complex], min_index: int, label: str) -> dict[int, 
 def _clean_magnitudes(mags: dict[int, float], min_index: int, label: str) -> dict[int, float]:
     out: dict[int, float] = {}
     for n, m in mags.items():
-        if not isinstance(n, int) or n < min_index:
+        if type(n) is not int or n < min_index:  # bool is not an index
             raise ValueError(f"{label} index must be an integer >= {min_index}, got {n}")
         if not 0 <= m < math.inf:
             raise ValueError(f"{label}[{n}] must be finite and nonnegative, got {m}")
@@ -108,6 +110,13 @@ class HarmonicFunction:
         """|b_1| < 1, the side condition of the normalized representation."""
         return abs(self.b1) < 1
 
+    def to_harmonic(self) -> HarmonicFunction:
+        return self
+
+    def magnitudes(self) -> tuple[dict[int, float], dict[int, float]]:
+        """(|a_n|, |b_n|) by index: what the coefficient bound weighs."""
+        return {n: abs(c) for n, c in self.a.items()}, {n: abs(c) for n, c in self.b.items()}
+
 
 @dataclass(frozen=True)
 class NegativeCoefficientForm:
@@ -134,16 +143,15 @@ class NegativeCoefficientForm:
             b={n: complex(m) for n, m in self.b_abs.items()},
         )
 
+    def magnitudes(self) -> tuple[dict[int, float], dict[int, float]]:
+        return self.a_abs, self.b_abs
+
 
 AnyForm = HarmonicFunction | NegativeCoefficientForm
 
 
-def _as_harmonic(f: AnyForm) -> HarmonicFunction:
-    return f.to_harmonic() if isinstance(f, NegativeCoefficientForm) else f
-
-
 def evaluate(f: AnyForm, z: EvalPoint) -> complex:
-    f = _as_harmonic(f)
+    f = f.to_harmonic()
     zc = z.z
     value = zc
     for n, c in f.a.items():
@@ -157,7 +165,7 @@ def evaluate(f: AnyForm, z: EvalPoint) -> complex:
 def derivatives(f: AnyForm, z: EvalPoint) -> tuple[complex, complex]:
     """(h'(z), g'(z)) where f = h + conj(g); g carries the conjugated
     coefficients of the conj(z)^n terms."""
-    f = _as_harmonic(f)
+    f = f.to_harmonic()
     zc = z.z
     hp = 1 + 0j
     for n, c in f.a.items():
@@ -185,7 +193,7 @@ def apply_operator(f: AnyForm, nu: float) -> HarmonicFunction:
     the leading z term is fixed (weight 1 at n = 1)."""
     if not 0 <= nu < 1:
         raise ValueError(f"operator order must satisfy 0 <= nu < 1, got {nu}")
-    f = _as_harmonic(f)
+    f = f.to_harmonic()
     if nu == 0:
         return f
     return HarmonicFunction(
@@ -210,7 +218,7 @@ def _weighted_series(f: AnyForm, params):
     series with its weights applied, so each point only sums powers."""
     from .membership import _weights
 
-    f = _as_harmonic(f)
+    f = f.to_harmonic()
     phi, psi, _ = _weights(params, f.a, f.b)
     a = [(n - 1, w * c) for (n, c), w in zip(f.a.items(), phi)]
     return f.b1, a, [(n, w * c) for (n, c), w in zip(f.b.items(), psi)]

@@ -123,16 +123,11 @@ def coanalytic_weight(n: int, p: ClassParams) -> float:
     return _weights(p, (), (n,))[1][0]
 
 
-def _magnitudes(f: AnyForm) -> tuple[dict[int, float], dict[int, float]]:
-    if isinstance(f, NegativeCoefficientForm):
-        return f.a_abs, f.b_abs
-    return {n: abs(c) for n, c in f.a.items()}, {n: abs(c) for n, c in f.b.items()}
-
-
-def membership_terms(f: AnyForm, p: ClassParams):
-    """Per-index contributions (n, part, value) to the weighted sum,
-    plus the list of b-indices whose weight degenerates to zero."""
-    a_abs, b_abs = _magnitudes(f)
+def _membership(f: AnyForm, p: ClassParams):
+    """The one membership body, from one pass over f's magnitudes: the
+    per-index terms (n, part, value), the b-indices whose weight degenerates
+    to zero, the deficiency (1 - beta) minus the sum of the terms, and |b_1|."""
+    a_abs, b_abs = f.magnitudes()
     phi, psi, unconstrained = _weights(p, a_abs, b_abs)
     terms = [(n, "a", w * m) for (n, m), w in zip(a_abs.items(), phi)]
     terms += [
@@ -140,13 +135,19 @@ def membership_terms(f: AnyForm, p: ClassParams):
         for (n, m), w in zip(b_abs.items(), psi)
         if n not in unconstrained
     ]
+    return terms, unconstrained, (1 - p.beta) - sum(t[2] for t in terms), b_abs.get(1, 0.0)
+
+
+def membership_terms(f: AnyForm, p: ClassParams):
+    """Per-index contributions (n, part, value) to the weighted sum,
+    plus the list of b-indices whose weight degenerates to zero."""
+    terms, unconstrained, _, _ = _membership(f, p)
     return terms, unconstrained
 
 
 def coefficient_deficiency(f: AnyForm, p: ClassParams) -> float:
     """(1 - beta) minus the phi/psi-weighted coefficient sum."""
-    terms, _ = membership_terms(f, p)
-    return (1 - p.beta) - sum(t[2] for t in terms)
+    return _membership(f, p)[2]
 
 
 @dataclass(frozen=True)
@@ -178,38 +179,32 @@ class MembershipReport:
         }
 
 
-def _require_b1(f: AnyForm) -> None:
-    if isinstance(f, NegativeCoefficientForm):
-        b1 = f.b_abs.get(1, 0.0)
-    else:
-        b1 = abs(f.b1)
+def _certify(f: AnyForm, p: ClassParams, above: str, below: str, between: str):
+    """The report for a univalence candidate (|b_1| < 1): its verdict is
+    ``above``/``below`` when the deficiency is beyond +/-VERDICT_TOLERANCE,
+    else ``between``."""
+    terms, unconstrained, deficiency, b1 = _membership(f, p)
     if b1 >= 1:
         raise ValueError(f"|b_1| must be < 1 for a univalence candidate, got {b1}")
+    if deficiency > VERDICT_TOLERANCE:
+        verdict = above
+    elif deficiency < -VERDICT_TOLERANCE:
+        verdict = below
+    else:
+        verdict = between
+    return MembershipReport(verdict, deficiency, terms, p, unconstrained)
 
 
 def certify_general(f: HarmonicFunction, p: ClassParams) -> MembershipReport:
     """One-sided certificate for arbitrary complex coefficients: a positive
     deficiency proves membership, anything else is inconclusive."""
-    _require_b1(f)
-    terms, unconstrained = membership_terms(f, p)
-    deficiency = (1 - p.beta) - sum(t[2] for t in terms)
-    verdict = "member_sufficient" if deficiency > VERDICT_TOLERANCE else "inconclusive"
-    return MembershipReport(verdict, deficiency, terms, p, unconstrained)
+    return _certify(f, p, "member_sufficient", "inconclusive", "inconclusive")
 
 
 def certify_negative_form(f: NegativeCoefficientForm, p: ClassParams) -> MembershipReport:
     """Exact characterization on the fixed-sign subclass: the coefficient
     bound is necessary and sufficient, so the verdict is two-sided."""
-    _require_b1(f)
-    terms, unconstrained = membership_terms(f, p)
-    deficiency = (1 - p.beta) - sum(t[2] for t in terms)
-    if deficiency > VERDICT_TOLERANCE:
-        verdict = "member_iff"
-    elif deficiency < -VERDICT_TOLERANCE:
-        verdict = "non_member"
-    else:
-        verdict = "boundary"
-    return MembershipReport(verdict, deficiency, terms, p, unconstrained)
+    return _certify(f, p, "member_iff", "non_member", "boundary")
 
 
 _VARIANTS = {"lambda0": ("lam", 0.0), "lambda1": ("lam", 1.0), "k1": ("k", 1.0), "k0": ("k", 0.0)}

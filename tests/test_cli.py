@@ -175,6 +175,19 @@ class TestCheck:
         assert run(["check", "--input", str(path), *P]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind":"negative_form","a_abs":[],"b_abs":[[1,1.0]]}',
+            '{"kind":"general","a":[],"b":[[1,0.8,0.8]]}',
+        ],
+    )
+    def test_big_b1_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        assert run(["check", "--input", str(path), *P]) == 2
+        assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_param(self, member_file, capsys, lam):
         assert run(["check", "--input", member_file, "--beta", "0.5", "--lambda", lam]) == 2
@@ -263,6 +276,13 @@ class TestDecomposeCombine:
         path.write_text(GENERAL_MEMBER)
         assert run(["decompose", "--input", str(path), *P]) == 2
 
+    def test_combine_rejects_general(self, tmp_path, capsys):
+        neg, gen = tmp_path / "n.json", tmp_path / "g.json"
+        neg.write_text(NEG_MEMBER)
+        gen.write_text(GENERAL_MEMBER)
+        assert run(["combine", "--inputs", str(neg), str(gen), *P]) == 2
+        assert_one_error_line(capsys)
+
     def test_combine_needs_input(self):
         assert run(["combine", *P]) == 2
 
@@ -309,6 +329,17 @@ class TestConvolve:
         )
         assert code == 0
         assert "closure at alpha=0.7" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("general_first", [True, False])
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.7"]])
+    def test_rejects_general(self, tmp_path, capsys, general_first, alpha):
+        neg, gen = tmp_path / "n.json", tmp_path / "g.json"
+        neg.write_text(NEG_MEMBER)
+        gen.write_text(GENERAL_MEMBER)
+        first, second = (gen, neg) if general_first else (neg, gen)
+        argv = ["convolve", "--input", str(first), "--input2", str(second), *alpha]
+        assert run(argv) == 2
+        assert_one_error_line(capsys)
 
     def test_closure_hypothesis_violation(self, tmp_path):
         p1 = tmp_path / "f1.json"

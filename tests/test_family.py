@@ -120,6 +120,11 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="index"):
             WeightDecomposition(t1=0.6, s={0: 0.4})
 
+    def test_rejects_bool_index(self):
+        with pytest.raises(ValueError, match="index"):
+            WeightDecomposition(t1=0.6, s={True: 0.4})
+        assert WeightDecomposition(t1=0.6, s={1: 0.4}).s == {1: 0.4}
+
     def test_round_trip_random(self):
         rng = random.Random(31)
         for i in range(200):

@@ -46,6 +46,20 @@ class TestEvalPoint:
         with pytest.raises(ValueError):
             EvalPoint.from_polar(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "z", [complex("nan"), complex(0.1, math.nan), complex(math.inf, math.nan)]
+    )
+    def test_rejects_non_finite_cartesian(self, z):
+        with pytest.raises(ValueError):
+            EvalPoint.from_cartesian(z)
+
+    @pytest.mark.parametrize(
+        "r,theta", [(math.nan, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)]
+    )
+    def test_rejects_non_finite_polar(self, r, theta):
+        with pytest.raises(ValueError):
+            EvalPoint.from_polar(r, theta)
+
 
 class TestRepresentation:
     def test_zero_coefficients_dropped(self):
@@ -81,6 +95,39 @@ class TestRepresentation:
             NegativeCoefficientForm(a_abs={2: bad})
         with pytest.raises(ValueError, match="finite"):
             NegativeCoefficientForm(b_abs={1: bad})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: HarmonicFunction(b={n: 0.5}),
+            lambda n: NegativeCoefficientForm(b_abs={n: 0.5}),
+        ],
+    )
+    def test_rejects_bool_index(self, make):
+        assert make(1)
+        with pytest.raises(ValueError, match="index"):
+            make(True)
+
+    @pytest.mark.parametrize("n", [1, True])
+    def test_accepted_forms_round_trip(self, n):
+        # Whatever a constructor accepts, its own coefficient file parses back.
+        for make in (
+            lambda: HarmonicFunction(b={n: 0.5 - 0.25j}),
+            lambda: NegativeCoefficientForm(b_abs={n: 0.5}),
+        ):
+            try:
+                f = make()
+            except ValueError:
+                continue
+            assert parse_coefficient_json(coefficient_json(f)) == f
+
+    def test_both_forms_answer_for_themselves(self):
+        g = NegativeCoefficientForm(a_abs={2: 0.2, 5: 0.1}, b_abs={1: 0.3})
+        h = g.to_harmonic()
+        assert h.to_harmonic() is h
+        assert g.magnitudes() == ({2: 0.2, 5: 0.1}, {1: 0.3})
+        assert h.magnitudes() == g.magnitudes()
+        assert HarmonicFunction(a={2: 0.3 + 0.4j}, b={3: -2j}).magnitudes() == ({2: 0.5}, {3: 2.0})
 
 
 class TestEvaluate:

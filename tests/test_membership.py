@@ -296,6 +296,11 @@ class TestCertifyNegativeForm:
         f = NegativeCoefficientForm(a_abs={2: 0.5})
         assert certify_negative_form(f, P0).verdict == "boundary"
 
+    @pytest.mark.parametrize("b1", [1.0, 1.5])
+    def test_rejects_big_b1(self, b1):
+        with pytest.raises(ValueError, match=r"\|b_1\| must be < 1"):
+            certify_negative_form(NegativeCoefficientForm(b_abs={1: b1}), P0)
+
     def test_unconstrained_indices_flagged(self):
         # weight of b_1 vanishes at lam = 0.5, k = 0
         p = ClassParams(beta=0.5, lam=0.5)
