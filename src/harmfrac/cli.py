@@ -3,13 +3,15 @@
 Subcommands: check, weights, extremal, decompose, convolve, combine, eval,
 verify.  Human-readable summaries go to stdout; --output writes structured
 JSON (or CSV for eval).  Exit codes: 0 success, 1 a `check` that did not
-certify membership, 2 usage/parse/domain errors.
+certify membership, 2 usage/parse/domain errors, overflow, or a stdout
+that its reader closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .family import (
@@ -24,7 +26,9 @@ from .family import (
 )
 from .harmonic import (
     NegativeCoefficientForm,
+    _functional_at,
     _parse_entries,
+    _weighted_series,
     coefficient_json,
     jacobian,
     parse_coefficient_json,
@@ -132,8 +136,6 @@ def _emit(text: str, output: str | None) -> int:
 def write_grid_csv(f, p: ClassParams, grid: DiskGrid, path: str) -> None:
     """CSV of the functional over the grid: r,theta,re_E,im_E,jacobian,
     one row per grid point in grid order, 17 significant digits."""
-    from .harmonic import _functional_at, _weighted_series
-
     f = f.to_harmonic()  # else jacobian() converts a fixed-sign form at every point
     series = _weighted_series(f, p)
     lines = ["r,theta,re_E,im_E,jacobian"]
@@ -335,13 +337,22 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`, `| grep -q`).  Point it at devnull
+        # so the flush at interpreter shutdown cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

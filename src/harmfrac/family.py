@@ -11,14 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .gammafn import _weights
 from .harmonic import NegativeCoefficientForm
-from .membership import (
-    ClassParams,
-    _membership,
-    _weights,
-    analytic_weight,
-    coefficient_deficiency,
-)
+from .membership import ClassParams, _membership, coefficient_deficiency
 
 __all__ = [
     "WeightDecomposition",
@@ -71,7 +66,7 @@ def extreme_point_analytic(n: int, p: ClassParams) -> NegativeCoefficientForm:
     """z - (1-beta)/phi(n) z^n, the degree-n analytic extreme point."""
     if n < 2:
         raise ValueError(f"analytic extreme point needs n >= 2, got {n}")
-    return NegativeCoefficientForm(a_abs={n: (1 - p.beta) / analytic_weight(n, p)})
+    return reconstruct(WeightDecomposition(t1=0.0, t={n: 1.0}), p)
 
 
 def extreme_point_coanalytic(n: int, p: ClassParams) -> NegativeCoefficientForm:
@@ -83,12 +78,7 @@ def extreme_point_coanalytic(n: int, p: ClassParams) -> NegativeCoefficientForm:
     """
     if n < 1:
         raise ValueError(f"co-analytic extreme point needs n >= 1, got {n}")
-    _, (psi,), degenerate = _weights(p, (), (n,))
-    if degenerate:
-        raise DegenerateWeightError(
-            f"co-analytic weight vanishes at n = {n}; extreme point undefined"
-        )
-    return NegativeCoefficientForm(b_abs={n: (1 - p.beta) / abs(psi)})
+    return reconstruct(WeightDecomposition(t1=0.0, s={n: 1.0}), p)
 
 
 def decompose(f: NegativeCoefficientForm, p: ClassParams) -> WeightDecomposition:

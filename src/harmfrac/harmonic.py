@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .gammafn import operator_weight
+from .gammafn import _weights, operator_weight
 
 __all__ = [
     "EvalPoint",
@@ -216,8 +216,6 @@ def class_functional(f: AnyForm, params, z: EvalPoint) -> complex:
 def _weighted_series(f: AnyForm, params):
     """(b_1, [(n-1, phi(n) a_n)], [(n, psi(n) b_n)]): the functional's
     series with its weights applied, so each point only sums powers."""
-    from .membership import _weights
-
     f = f.to_harmonic()
     phi, psi, _ = _weights(params, f.a, f.b)
     a = [(n - 1, w * c) for (n, c), w in zip(f.a.items(), phi)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .gammafn import beta as beta_fn
+from .gammafn import _weights, beta as beta_fn
 from .harmonic import AnyForm, HarmonicFunction, NegativeCoefficientForm
 
 __all__ = [
@@ -36,12 +36,6 @@ __all__ = [
 ]
 
 VERDICT_TOLERANCE = 1e-12
-
-# Below this magnitude a co-analytic weight is treated as degenerate: the
-# corresponding b_n is unconstrained by the coefficient bound.  This is
-# numerical zero for certification; verify._PSI_SKIP (1e-9) is looser only
-# to keep the member sampler away from huge magnitudes.
-DEGENERATE_WEIGHT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -80,34 +74,6 @@ class WeightPair:
     psi_signed: float
 
 
-def _weights(p: ClassParams, a_ns, b_ns) -> tuple[list[float], list[float], list[int]]:
-    """The one weight kernel: phi(n) for each n in a_ns, signed psi(n) for each
-    n in b_ns, in order, and the n in b_ns with |psi(n)| < DEGENERATE_WEIGHT,
-    whose b_n the coefficient bound leaves unconstrained.
-
-    Callers pass valid indices (n >= 2 in a_ns, n >= 1 in b_ns).  Each weight
-    is its bracket times the operator weight Gamma(2-nu)Gamma(n+1)/Gamma(n+1-nu),
-    summed in the log domain in the same order as ``gammafn.operator_weight``,
-    so the results are bit-identical to it.
-    """
-    lam, k, nu = p.lam, p.k, p.nu
-    lgamma, exp = math.lgamma, math.exp
-    c = lgamma(2 - nu)
-    phi = []
-    for n in a_ns:
-        ow = exp((c + lgamma(n + 1)) - lgamma(n + 1 - nu))
-        phi.append((1 + lam * (n - 1) * (1 + n * k)) * ow)
-    psi = []
-    degenerate = []
-    for n in b_ns:
-        ow = exp((c + lgamma(n + 1)) - lgamma(n + 1 - nu))
-        w = (1 - lam * (n + 1) * (1 - n * k)) * ow
-        psi.append(w)
-        if abs(w) < DEGENERATE_WEIGHT:
-            degenerate.append(n)
-    return phi, psi, degenerate
-
-
 def analytic_weight(n: int, p: ClassParams) -> float:
     """phi(n): [1 + lam*(n-1)*(1 + n*k)] times the operator weight, n >= 2."""
     if n < 2:
@@ -126,7 +92,8 @@ def coanalytic_weight(n: int, p: ClassParams) -> float:
 def _membership(f: AnyForm, p: ClassParams):
     """The one membership body, from one pass over f's magnitudes: the
     per-index terms (n, part, value), the b-indices whose weight degenerates
-    to zero, the deficiency (1 - beta) minus the sum of the terms, and |b_1|."""
+    to zero, the deficiency (1 - beta) minus the sum of the terms, and |b_1|.
+    A weighted sum that overflows raises OverflowError: no verdict from inf."""
     a_abs, b_abs = f.magnitudes()
     phi, psi, unconstrained = _weights(p, a_abs, b_abs)
     terms = [(n, "a", w * m) for (n, m), w in zip(a_abs.items(), phi)]
@@ -135,7 +102,10 @@ def _membership(f: AnyForm, p: ClassParams):
         for (n, m), w in zip(b_abs.items(), psi)
         if n not in unconstrained
     ]
-    return terms, unconstrained, (1 - p.beta) - sum(t[2] for t in terms), b_abs.get(1, 0.0)
+    deficiency = (1 - p.beta) - sum(t[2] for t in terms)
+    if not math.isfinite(deficiency):
+        raise OverflowError(f"the weighted coefficient sum overflows: deficiency {deficiency}")
+    return terms, unconstrained, deficiency, b_abs.get(1, 0.0)
 
 
 def membership_terms(f: AnyForm, p: ClassParams):

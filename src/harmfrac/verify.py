@@ -14,13 +14,9 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .gammafn import _weights
 from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, _functional_at, _weighted_series
-from .membership import (
-    ClassParams,
-    _weights,
-    analytic_weight,
-    coefficient_deficiency,
-)
+from .membership import ClassParams, analytic_weight, coefficient_deficiency
 
 __all__ = [
     "DiskGrid",
@@ -35,7 +31,7 @@ __all__ = [
     "verify_necessity",
 ]
 
-# Looser than membership.DEGENERATE_WEIGHT (1e-14, numerical zero for certification) on
+# Looser than gammafn.DEGENERATE_WEIGHT (1e-14, numerical zero for certification) on
 # purpose: the sampler would otherwise divide a budget by a tiny weight into a huge magnitude.
 _PSI_SKIP = 1e-9  # b-indices whose weight is this small are skipped by the sampler
 

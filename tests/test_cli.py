@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import harmfrac
 from harmfrac.cli import run
+
+SRC = str(Path(harmfrac.__file__).parents[1])
 
 NEG_MEMBER = '{"kind":"negative_form","a_abs":[[2,0.2]],"b_abs":[[1,0.2]]}'
 NEG_VIOLATOR = '{"kind":"negative_form","a_abs":[[2,0.8]],"b_abs":[]}'
@@ -193,6 +200,28 @@ class TestCheck:
         assert run(["check", "--input", member_file, "--beta", "0.5", "--lambda", lam]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "doc,params",
+        [
+            # psi(1) = (1 - inf * 0) * 1 is nan
+            (
+                '{"kind":"negative_form","a_abs":[[2,0.1]],"b_abs":[[1,0.5]]}',
+                ["--lambda", "1e308", "--k", "1"],
+            ),
+            # finite weight times a finite magnitude overflows
+            (
+                '{"kind":"negative_form","a_abs":[[2,1e308]]}',
+                ["--beta", "0.2", "--lambda", "1.3", "--k", "0.4", "--nu", "0.5"],
+            ),
+        ],
+    )
+    def test_overflow_is_usage_error(self, tmp_path, capsys, doc, params):
+        path, out = tmp_path / "f.json", tmp_path / "report.json"
+        path.write_text(doc)
+        assert run(["check", "--input", str(path), "--output", str(out), *params]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestWeights:
     def test_hand_values(self, capsys):
@@ -202,6 +231,48 @@ class TestWeights:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "n,lam,k",
+        [
+            ("1", "1e308", "1"),  # psi(1) = (1 - inf * 0) * 1 is nan
+            ("2", "1e308", "1"),  # phi(2) is inf
+            ("1000000", "1e300", "0.5"),
+        ],
+    )
+    def test_overflow_is_usage_error(self, capsys, n, lam, k):
+        assert run(["weights", "--n", n, "--lambda", lam, "--k", k]) == 2
+        assert_one_error_line(capsys)
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early (`| head`, `| grep -q`) gets one
+    `error:` line and exit 2 from the entry point, buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ["weights", "--n", "2", "--lambda", "1", "--k", "1", "--nu", "0"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from harmfrac.cli import main; main()", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 class TestExtremal:

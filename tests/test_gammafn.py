@@ -4,7 +4,8 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from harmfrac import beta, log_gamma, operator_weight
+from harmfrac import ClassParams, beta, log_gamma, operator_weight
+from harmfrac.gammafn import _weights
 
 mpmath.mp.dps = 40
 
@@ -93,3 +94,28 @@ class TestBetaIdentity:
     def test_index_one_uses_ratio_not_beta_form(self, nu):
         # the n(n-1)B(n-1, 2-nu) expression is 0*inf at n = 1; the ratio is 1
         assert abs(operator_weight(1, nu) - 1.0) <= 1e-13
+
+
+class TestWeightKernelOverflow:
+    """Finite parameters can overflow a weight; the kernel raises instead of
+    returning inf, or nan from inf * 0 in a bracket."""
+
+    @pytest.mark.parametrize(
+        "p,a_ns,b_ns",
+        [
+            (ClassParams(lam=1e308, k=1), (), (1,)),  # lam*(n+1) = inf times (1 - n*k) = 0
+            (ClassParams(lam=1e308, k=1), (2,), ()),  # phi(2) = inf
+            (ClassParams(lam=1e308), (), (2,)),  # psi(2) = -inf
+            (ClassParams(lam=1e300, k=1), (2, 10**6), ()),  # the last phi overflows
+        ],
+    )
+    def test_non_finite_weight_raises(self, p, a_ns, b_ns):
+        with pytest.raises(OverflowError):
+            _weights(p, a_ns, b_ns)
+
+    def test_large_finite_weights_pass(self):
+        # at nu = 0 every operator weight is 1, so each weight is its bracket
+        phi, psi, degenerate = _weights(ClassParams(lam=1e300, k=1), (2,), (1, 2))
+        assert phi == [1 + 1e300 * (2 - 1) * (1 + 2 * 1)]
+        assert psi == [1.0, 1 - 1e300 * (2 + 1) * (1 - 2 * 1)]
+        assert degenerate == []

@@ -21,6 +21,7 @@ from harmfrac import (
     coanalytic_weight,
     coefficient_deficiency,
     decompose,
+    extreme_point_analytic,
     extreme_point_coanalytic,
     operator_weight,
     reconstruct,
@@ -188,6 +189,16 @@ class TestWeightKernel:
         assert _weighted_series(f, p)[2][0] == (1, 0j)
         assert _radial_terms(f, p)[1] == (0, 0.0)
 
+    @pytest.mark.parametrize("p", KERNEL_PARAMS)
+    def test_extreme_points_bit_identical(self, p):
+        # Built through reconstruct: 1.0 * (1 - beta) / w is exactly (1 - beta) / w.
+        for n in [1, 2, 3, 170, 171, 5001, *SPARSE_NS[::100]]:
+            if n >= 2:
+                phi = analytic_weight(n, p)
+                assert extreme_point_analytic(n, p).a_abs == {n: (1 - p.beta) / phi}
+            psi = abs(coanalytic_weight(n, p))
+            assert extreme_point_coanalytic(n, p).b_abs == {n: (1 - p.beta) / psi}
+
     def test_rounding_residue_is_degenerate(self):
         # 1 - (1/3) * 5 * (1 - 4 * 0.1) leaves a residue of ~1e-16, not 0
         p = ClassParams(lam=1 / 3, k=0.1)
@@ -253,6 +264,27 @@ class TestDeficiency:
     def test_negative_form_input(self):
         f = NegativeCoefficientForm(a_abs={2: 0.2}, b_abs={1: 0.2})
         assert coefficient_deficiency(f, P0) == pytest.approx(0.1)
+
+
+    @pytest.mark.parametrize(
+        "f,p",
+        [
+            # finite terms whose sum overflows
+            (NegativeCoefficientForm(a_abs={2: 1e308, 3: 1e308}), P0),
+            # one term overflows: phi(2) * 1e308 at an acceptance parameter set
+            (NegativeCoefficientForm(a_abs={2: 1e308}), KERNEL_PARAMS[0]),
+            (HarmonicFunction(b={2: 1e308j}), ClassParams(lam=1.0)),
+        ],
+    )
+    def test_overflow_raises(self, f, p):
+        calls = [coefficient_deficiency, membership_terms]
+        if isinstance(f, NegativeCoefficientForm):
+            calls += [certify_negative_form, decompose]
+        else:
+            calls += [certify_general]
+        for call in calls:
+            with pytest.raises(OverflowError):
+                call(f, p)
 
 
 class TestCertifyGeneral:
