@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -135,13 +136,22 @@ def _emit(text: str, output: str | None) -> int:
 
 def write_grid_csv(f, p: ClassParams, grid: DiskGrid, path: str) -> None:
     """CSV of the functional over the grid: r,theta,re_E,im_E,jacobian,
-    one row per grid point in grid order, 17 significant digits."""
+    one row per grid point in grid order, 17 significant digits.  A value
+    that overflows raises OverflowError before anything is written."""
     f = f.to_harmonic()  # else jacobian() converts a fixed-sign form at every point
     series = _weighted_series(f, p)
     lines = ["r,theta,re_E,im_E,jacobian"]
     for pt in grid.points():
         e = _functional_at(series, pt)
-        j = jacobian(f, pt)
+        try:
+            j = jacobian(f, pt)
+        except OverflowError:  # float ** 2 raises where a product would give inf
+            j = math.inf
+        if not (math.isfinite(e.real) and math.isfinite(e.imag) and math.isfinite(j)):
+            raise OverflowError(
+                f"the functional or the Jacobian is not finite at r = {pt.r:.17g}, "
+                f"theta = {pt.theta:.17g}"
+            )
         lines.append(
             f"{pt.r:.17g},{pt.theta:.17g},{e.real:.17g},{e.imag:.17g},{j:.17g}"
         )
@@ -197,7 +207,7 @@ def _cmd_decompose(args) -> int:
         "t1": w.t1,
         "t": [[n, x] for n, x in w.t.items()],
         "s": [[n, x] for n, x in w.s.items()],
-        "params": {"beta": p.beta, "lambda": p.lam, "k": p.k, "nu": p.nu},
+        "params": p.to_dict(),
     }
     return _emit(json.dumps(doc, indent=2), args.output)
 

@@ -66,6 +66,10 @@ class ClassParams:
     def with_beta(self, beta: float) -> "ClassParams":
         return ClassParams(beta=beta, lam=self.lam, k=self.k, nu=self.nu)
 
+    def to_dict(self) -> dict:
+        """The parameters as every JSON output spells them."""
+        return {"beta": self.beta, "lambda": self.lam, "k": self.k, "nu": self.nu}
+
 
 @dataclass(frozen=True)
 class WeightPair:
@@ -127,7 +131,6 @@ class MembershipReport:
     per_term: list[tuple[int, str, float]]
     params: ClassParams
     unconstrained: list[int] = field(default_factory=list)
-    tolerance: float = VERDICT_TOLERANCE
 
     @property
     def certified_member(self) -> bool:
@@ -139,13 +142,8 @@ class MembershipReport:
             "deficiency": self.deficiency,
             "per_term": [list(t) for t in self.per_term],
             "unconstrained": self.unconstrained,
-            "tolerance": self.tolerance,
-            "params": {
-                "beta": self.params.beta,
-                "lambda": self.params.lam,
-                "k": self.params.k,
-                "nu": self.params.nu,
-            },
+            "tolerance": VERDICT_TOLERANCE,
+            "params": self.params.to_dict(),
         }
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .gammafn import _weights
 from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, _functional_at, _weighted_series
-from .membership import ClassParams, analytic_weight, coefficient_deficiency
+from .membership import ClassParams, _membership, analytic_weight, coefficient_deficiency
 
 __all__ = [
     "DiskGrid",
@@ -34,6 +34,8 @@ __all__ = [
 # Looser than gammafn.DEGENERATE_WEIGHT (1e-14, numerical zero for certification) on
 # purpose: the sampler would otherwise divide a budget by a tiny weight into a huge magnitude.
 _PSI_SKIP = 1e-9  # b-indices whose weight is this small are skipped by the sampler
+_MAX_INDEX = 6  # the generators draw indices up to this degree
+_LADDER = 8  # the witness search climbs r = 1 - 10^-j for j = 1, ..., _LADDER
 
 
 @dataclass(frozen=True)
@@ -87,37 +89,28 @@ def min_real_functional(
 def radial_deficiency(f: NegativeCoefficientForm, p: ClassParams, r: float) -> float:
     """Q(r) = 1 - beta - sum phi|a_n| r^{n-1} - sum |psi||b_n| r^{n-1}.
 
-    The radial expression whose r -> 1 limit is the coefficient bound;
-    negative values witness non-membership of a fixed-sign function.
+    The radial expression over the certificate's terms, whose r -> 1 limit is
+    the deficiency; negative values witness non-membership of a fixed-sign function.
     """
-    return _radial_at(p, _radial_terms(f, p), r)
+    return _radial_at(p, _membership(f, p)[0], r)
 
 
-def _radial_terms(f: NegativeCoefficientForm, p: ClassParams) -> list[tuple[int, float]]:
-    """Q(r)'s weighted magnitudes (n-1, w*m), a_abs then b_abs, for reuse across radii."""
-    phi, psi, _ = _weights(p, f.a_abs, f.b_abs)
-    a = [(n - 1, w * m) for (n, m), w in zip(f.a_abs.items(), phi)]
-    return a + [(n - 1, abs(w) * m) for (n, m), w in zip(f.b_abs.items(), psi)]
-
-
-def _radial_at(p: ClassParams, terms: list[tuple[int, float]], r: float) -> float:
+def _radial_at(p: ClassParams, terms, r: float) -> float:
     q = 1 - p.beta
-    for e, wm in terms:
-        q -= wm * r**e
+    for n, _, value in terms:
+        q -= value * r ** (n - 1)
     return q
 
 
-def find_necessity_witness(
-    f: NegativeCoefficientForm, p: ClassParams, max_exponent: int = 8
-) -> float | None:
-    """First radius r0 on the geometric ladder {1 - 10^-j} with a negative
-    radial deficiency.  For a violator of the coefficient bound such an r0
-    must exist as r -> 1; None flags a resolution failure, not a theorem
-    failure."""
-    if coefficient_deficiency(f, p) >= 0:
+def find_necessity_witness(f: NegativeCoefficientForm, p: ClassParams) -> float | None:
+    """First radius r0 on the geometric ladder {1 - 10^-j}, j <= _LADDER, with
+    a negative radial deficiency.  For a violator of the coefficient bound
+    such an r0 must exist as r -> 1; None flags a resolution failure, not a
+    theorem failure."""
+    terms, _, deficiency, _ = _membership(f, p)
+    if deficiency >= 0:
         raise ValueError("witness search expects a violator (negative deficiency)")
-    terms = _radial_terms(f, p)
-    for j in range(1, max_exponent + 1):
+    for j in range(1, _LADDER + 1):
         r = 1 - 10.0**-j
         if _radial_at(p, terms, r) < 0:
             return r
@@ -125,11 +118,7 @@ def find_necessity_witness(
 
 
 def random_member(
-    p: ClassParams,
-    seed: int,
-    max_index: int = 6,
-    part_mix: float = 0.5,
-    cap_magnitudes: float | None = None,
+    p: ClassParams, seed: int, cap_magnitudes: float | None = None
 ) -> NegativeCoefficientForm:
     """Seeded fixed-sign class member: a random subset of indices gets a
     random budget u*(1-beta), u in (0, 1), split across terms, so the
@@ -140,27 +129,21 @@ def random_member(
     bounds every magnitude (shrinking a magnitude only grows the
     deficiency, so membership is preserved).
     """
-    if max_index < 2:
-        raise ValueError(f"max_index must be >= 2, got {max_index}")
-    if not 0 <= part_mix <= 1:
-        raise ValueError(f"part_mix must lie in [0, 1], got {part_mix}")
     rng = random.Random(seed)
     u = rng.uniform(0.05, 0.95)
     budget = u * (1 - p.beta)
 
-    phi, psi, _ = _weights(p, range(2, max_index + 1), range(1, max_index + 1))
-    a_pool = list(range(2, max_index + 1))
+    phi, psi, _ = _weights(p, range(2, _MAX_INDEX + 1), range(1, _MAX_INDEX + 1))
+    a_pool = list(range(2, _MAX_INDEX + 1))
     b_pool = [n for n, w in enumerate(psi, start=1) if abs(w) > _PSI_SKIP]
     a_idx = rng.sample(a_pool, rng.randint(0, len(a_pool)))
     b_idx = rng.sample(b_pool, rng.randint(0, len(b_pool)))
     if not a_idx and not b_idx:
         a_idx = [2]
 
-    shares: list[tuple[str, int, float]] = []
-    for n in a_idx:
-        shares.append(("a", n, rng.uniform(0.1, 1.0) * (1 - part_mix + 1e-9)))
-    for n in b_idx:
-        shares.append(("b", n, rng.uniform(0.1, 1.0) * (part_mix + 1e-9)))
+    # The factor 0.5 + 1e-9 sets the rounding of the amounts, which the seeded members keep.
+    shares = [("a", n, rng.uniform(0.1, 1.0) * (0.5 + 1e-9)) for n in a_idx]
+    shares += [("b", n, rng.uniform(0.1, 1.0) * (0.5 + 1e-9)) for n in b_idx]
     total = sum(s for _, _, s in shares)
 
     a_abs: dict[int, float] = {}
@@ -180,14 +163,12 @@ def random_member(
     return NegativeCoefficientForm(a_abs=a_abs, b_abs=b_abs)
 
 
-def random_violator(
-    p: ClassParams, seed: int, max_index: int = 6, margin: float = 0.01
-) -> NegativeCoefficientForm:
+def random_violator(p: ClassParams, seed: int, margin: float = 0.01) -> NegativeCoefficientForm:
     """Seeded violator: a random member with one analytic term inflated until
     the deficiency drops below -margin.  |b_1| < 1 is untouched."""
-    f = random_member(p, seed, max_index=max_index)
+    f = random_member(p, seed)
     rng = random.Random(seed ^ 0x5EED)
-    n = max(f.a_abs, key=f.a_abs.get) if f.a_abs else rng.randint(2, max_index)
+    n = max(f.a_abs, key=f.a_abs.get) if f.a_abs else rng.randint(2, _MAX_INDEX)
     excess = coefficient_deficiency(f, p) + margin + rng.uniform(0.01, 0.5)
     a_abs = dict(f.a_abs)
     a_abs[n] = a_abs.get(n, 0.0) + excess / analytic_weight(n, p)
@@ -257,9 +238,7 @@ def verify_sufficiency(
     )
 
 
-def verify_necessity(
-    p: ClassParams, cases: int, seed: int = 0, margin: float = 0.01
-) -> VerificationReport:
+def verify_necessity(p: ClassParams, cases: int, seed: int = 0) -> VerificationReport:
     """Sample violators and check that a radial witness is found for each."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases}")
@@ -267,7 +246,7 @@ def verify_necessity(
     worst = None
     witness = None
     for i in range(cases):
-        f = random_violator(p, seed + i, margin=margin)
+        f = random_violator(p, seed + i)
         r0 = find_necessity_witness(f, p)
         if r0 is not None:
             passed += 1
@@ -275,7 +254,7 @@ def verify_necessity(
             if worst is None or q > worst:
                 worst = q
         elif witness is None:
-            witness = {"case": i, "reason": "no radial witness up to 1 - 1e-8"}
+            witness = {"case": i, "reason": f"no radial witness up to 1 - 1e-{_LADDER}"}
     return VerificationReport(
         suite="necessity",
         cases_run=cases,

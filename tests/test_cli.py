@@ -317,6 +317,15 @@ class TestDecomposeCombine:
             for (n1, m1), (n2, m2) in zip(back[key], orig[key]):
                 assert n1 == n2 and m1 == pytest.approx(m2, abs=1e-12)
 
+    def test_params_block_matches_check(self, member_file, tmp_path):
+        params = ["--beta", "0.1", "--lambda", "0.25", "--k", "0.4", "--nu", "0.37"]
+        weights, report = tmp_path / "w.json", tmp_path / "report.json"
+        assert run(["decompose", "--input", member_file, "--output", str(weights), *params]) == 0
+        assert run(["check", "--input", member_file, "--output", str(report), *params]) == 0
+        want = [("beta", 0.1), ("lambda", 0.25), ("k", 0.4), ("nu", 0.37)]
+        assert list(json.loads(weights.read_text())["params"].items()) == want
+        assert list(json.loads(report.read_text())["params"].items()) == want
+
     def test_convex_combination(self, tmp_path):
         p1 = tmp_path / "f1.json"
         p2 = tmp_path / "f2.json"
@@ -497,6 +506,25 @@ class TestEval:
         argv = ["eval", "--input", str(f), "--output", str(out), *params]
         assert run([*argv, "--grid-radii", "0.3,0.9", "--grid-angles", "8"]) == 0
         assert out.read_text() == NEG_FORM_CSV
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the functional stays finite and the Jacobian overflows to inf
+            '{"kind":"general","a":[[2,1e308,0],[3,1e308,0]],"b":[]}',
+            # abs(h') ** 2 raises OverflowError inside jacobian
+            '{"kind":"general","a":[[2,1e200,0]],"b":[]}',
+        ],
+    )
+    def test_overflow_is_usage_error(self, tmp_path, capsys, doc):
+        f, out = tmp_path / "f.json", tmp_path / "grid.csv"
+        f.write_text(doc)
+        argv = ["eval", "--input", str(f), "--output", str(out), "--grid-radii", "0.9"]
+        assert run([*argv, "--grid-angles", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: the functional or the Jacobian is not finite at r = 0.9")
+        assert not out.exists()
 
 
 class TestVerify:

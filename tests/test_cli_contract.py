@@ -2,8 +2,9 @@
 
 Every subcommand gets random coefficient and weights files, well-formed or
 not, and parameter strings at the edges of their domains.  `run` must
-return 0, 1 or 2 and never raise; a run that exits 0 or 1 prints no number
-made from nan or inf, and one that exits 2 ends with an `error:` line.
+return 0, 1 or 2 and never raise; a run that exits 0 or 1 prints and writes
+no number made from nan or inf, and one that exits 2 ends with an `error:`
+line.
 """
 
 import io
@@ -158,3 +159,6 @@ def test_run_keeps_the_exit_code_contract(workdir, invocation):
         assert "error:" in err.getvalue().splitlines()[-1]
     else:
         assert not NON_FINITE.search(out.getvalue()), out.getvalue()
+        output = workdir / "out"
+        if output.exists():
+            assert not NON_FINITE.search(output.read_text()), argv

@@ -24,12 +24,12 @@ from harmfrac import (
     extreme_point_analytic,
     extreme_point_coanalytic,
     operator_weight,
+    radial_deficiency,
     reconstruct,
     specialized_weights,
 )
 from harmfrac.harmonic import _weighted_series
 from harmfrac.membership import _weights, membership_terms
-from harmfrac.verify import _radial_terms
 
 P0 = ClassParams(beta=0.5)
 
@@ -185,9 +185,10 @@ class TestWeightKernel:
             decompose(f, p)
         with pytest.raises(DegenerateWeightError):
             reconstruct(WeightDecomposition(t1=0.5, s={1: 0.5}), p)
-        # The functional and the radial deficiency keep the zero weight.
+        # The functional keeps the zero weight; the radial deficiency reads the
+        # certificate's terms, so b_1 drops out of it.
         assert _weighted_series(f, p)[2][0] == (1, 0j)
-        assert _radial_terms(f, p)[1] == (0, 0.0)
+        assert radial_deficiency(f, p, 0.5) == 0.5 - terms[0][2] * 0.5 - terms[1][2] * 0.5
 
     @pytest.mark.parametrize("p", KERNEL_PARAMS)
     def test_extreme_points_bit_identical(self, p):

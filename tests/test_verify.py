@@ -11,6 +11,7 @@ from harmfrac import (
     HarmonicFunction,
     NegativeCoefficientForm,
     analytic_weight,
+    certify_negative_form,
     class_functional,
     coanalytic_weight,
     coefficient_deficiency,
@@ -172,12 +173,6 @@ class TestRandomMember:
             f = random_member(p, seed)
             assert 1 not in f.b_abs
 
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            random_member(P0, 0, max_index=1)
-        with pytest.raises(ValueError):
-            random_member(P0, 0, part_mix=1.5)
-
 
 class TestRandomViolator:
     @pytest.mark.parametrize("seed", range(30))
@@ -229,6 +224,22 @@ class TestNecessityWitness:
     def test_requires_violator(self):
         with pytest.raises(ValueError):
             find_necessity_witness(NegativeCoefficientForm(a_abs={2: 0.1}), P0)
+
+    def test_unconstrained_index_left_out(self):
+        # psi(4) is 1.1e-16 here, the rounding residue of an exact 0: the
+        # certificate leaves b_4 unconstrained, and so does Q(r).
+        p = ClassParams(lam=1 / 3, k=0.1)
+        f = NegativeCoefficientForm(b_abs={4: 1e16})
+        assert certify_negative_form(f, p).verdict == "member_iff"
+        for r in (0.5, 0.99, 1 - 1e-8):
+            assert radial_deficiency(f, p, r) == coefficient_deficiency(f, p) == 1.0
+
+    def test_overflow_raises(self):
+        f = NegativeCoefficientForm(a_abs={2: 1e308, 3: 1e308})
+        with pytest.raises(OverflowError):
+            radial_deficiency(f, PARAM_SETS[2], 0.5)
+        with pytest.raises(OverflowError):
+            find_necessity_witness(f, PARAM_SETS[2])
 
 
 class TestBoundaryRadialBehavior:
