@@ -1,10 +1,14 @@
 """Batch command-line front end.
 
 Subcommands: check, weights, extremal, decompose, convolve, combine, eval,
-verify.  Human-readable summaries go to stdout; --output writes structured
-JSON (or CSV for eval).  Exit codes: 0 success, 1 a `check` that did not
-certify membership, 2 usage/parse/domain errors, overflow, or a stdout
-that its reader closed early.
+verify.  A command writes no file and nothing to stdout: it returns its
+exit code, its stdout text and a function that builds its --output
+document (JSON, or CSV for eval).  `run` alone writes --output, before
+anything is printed, then stdout, so a run that exits 2 prints nothing on
+stdout; warnings and errors go to stderr.  Exit codes: 0 success, 1 a
+`check` that did not certify membership or a `verify` suite that failed,
+2 usage/parse/domain errors, overflow, an --output that cannot be
+written, or a stdout that its reader closed early.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .verify import (
     verify_sufficiency,
 )
 
-__all__ = ["main", "run", "write_grid_csv"]
+__all__ = ["main", "run", "grid_csv"]
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -88,13 +92,9 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_function(path: str):
-    return parse_coefficient_json(_read(path))
-
-
 def _read_negative_form(path: str, command: str) -> NegativeCoefficientForm:
     """The reader of the commands that take only fixed-sign files."""
-    f = _read_function(path)
+    f = parse_coefficient_json(_read(path))
     if not isinstance(f, NegativeCoefficientForm):
         raise ValueError(f"{command} requires negative_form coefficient files, got {path}")
     return f
@@ -126,18 +126,15 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None) -> int:
-    """Print a coefficient or weights document, write it to --output, exit 0."""
-    print(text)
-    if output:
-        _write(output, text)
-    return 0
+def _document(text: str):
+    """The reply of a command whose stdout is the document that --output holds."""
+    return 0, text + "\n", lambda: text
 
 
-def write_grid_csv(f, p: ClassParams, grid: DiskGrid, path: str) -> None:
+def grid_csv(f, p: ClassParams, grid: DiskGrid) -> str:
     """CSV of the functional over the grid: r,theta,re_E,im_E,jacobian,
     one row per grid point in grid order, 17 significant digits.  A value
-    that overflows raises OverflowError before anything is written."""
+    that overflows raises OverflowError."""
     f = f.to_harmonic()  # else jacobian() converts a fixed-sign form at every point
     series = _weighted_series(f, p)
     lines = ["r,theta,re_E,im_E,jacobian"]
@@ -155,12 +152,12 @@ def write_grid_csv(f, p: ClassParams, grid: DiskGrid, path: str) -> None:
         lines.append(
             f"{pt.r:.17g},{pt.theta:.17g},{e.real:.17g},{e.imag:.17g},{j:.17g}"
         )
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     p = _params(args)
-    f = _read_function(args.input)
+    f = parse_coefficient_json(_read(args.input))
     if isinstance(f, NegativeCoefficientForm):
         report = certify_negative_form(f, p)
     else:
@@ -168,39 +165,32 @@ def _cmd_check(args) -> int:
     lines = [f"verdict: {report.verdict}  deficiency: {report.deficiency:.17g}"]
     lines += [f"  {part}[{n}] contributes {c:.17g}" for n, part, c in report.per_term]
     lines += [f"  b[{n}] is unconstrained (weight ~ 0)" for n in report.unconstrained]
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.output:
-        _write(args.output, json.dumps(report.to_dict()))
-    return 0 if report.certified_member else 1
+    code = 0 if report.certified_member else 1
+    return code, "\n".join(lines) + "\n", lambda: json.dumps(report.to_dict())
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args):
     p = _params(args)
     n = args.n
     phi = analytic_weight(n, p) if n >= 2 else None
     psi = coanalytic_weight(n, p)
-    if phi is not None:
-        print(f"phi({n}) = {phi:.17g}")
-    print(f"psi({n}) = {psi:.17g}")
-    if args.output:
-        _write(args.output, json.dumps({"n": n, "phi": phi, "psi": psi}, indent=2))
-    return 0
+    text = f"phi({n}) = {phi:.17g}\n" if phi is not None else ""
+    text += f"psi({n}) = {psi:.17g}\n"
+    return 0, text, lambda: json.dumps({"n": n, "phi": phi, "psi": psi}, indent=2)
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args):
     p = _params(args)
-    if (args.fn is None) == (args.gn is None):
-        raise ValueError("give exactly one of --fn N or --gn N")
     if args.fn is not None:
         f = extreme_point_analytic(args.fn, p)
     else:
         f = extreme_point_coanalytic(args.gn, p)
         if f.univalence_violated:
-            print("warning: |b_1| >= 1; univalence side condition violated")
-    return _emit(coefficient_json(f), args.output)
+            print("warning: |b_1| >= 1; univalence side condition violated", file=sys.stderr)
+    return _document(coefficient_json(f))
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     p = _params(args)
     w = decompose(_read_negative_form(args.input, "decompose"), p)
     doc = {
@@ -209,10 +199,10 @@ def _cmd_decompose(args) -> int:
         "s": [[n, x] for n, x in w.s.items()],
         "params": p.to_dict(),
     }
-    return _emit(json.dumps(doc, indent=2), args.output)
+    return _document(json.dumps(doc, indent=2))
 
 
-def _cmd_combine(args) -> int:
+def _cmd_combine(args):
     p = _params(args)
     if args.weights:
         f = reconstruct(_read_weights(args.weights), p)
@@ -222,54 +212,45 @@ def _cmd_combine(args) -> int:
         fs = [_read_negative_form(path, "combine") for path in args.inputs]
         ts = [float(t) for t in args.ts.split(",")] if args.ts else [1 / len(fs)] * len(fs)
         f = convex_combine(fs, ts)
-    return _emit(coefficient_json(f), args.output)
+    return _document(coefficient_json(f))
 
 
-def _cmd_convolve(args) -> int:
+def _cmd_convolve(args):
     f1 = _read_negative_form(args.input, "convolve")
     f2 = _read_negative_form(args.input2, "convolve")
-    if args.alpha is not None:
-        p = _params(args)
-        report = check_convolution_closure(f1, f2, args.alpha, args.beta, p)
-        print(
-            f"closure at alpha={args.alpha}: deficiency {report.deficiency_alpha:.17g}; "
-            f"at beta={args.beta}: {report.deficiency_beta:.17g}"
-        )
-        f = report.convolution
-    else:
-        f = convolve(f1, f2)
-    return _emit(coefficient_json(f), args.output)
+    if args.alpha is None:
+        return _document(coefficient_json(convolve(f1, f2)))
+    report = check_convolution_closure(f1, f2, args.alpha, args.beta, _params(args))
+    text = coefficient_json(report.convolution)
+    closure = (
+        f"closure at alpha={args.alpha}: deficiency {report.deficiency_alpha:.17g}; "
+        f"at beta={args.beta}: {report.deficiency_beta:.17g}\n"
+    )
+    return 0, closure + text + "\n", lambda: text
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     p = _params(args)
-    f = _read_function(args.input)
+    f = parse_coefficient_json(_read(args.input))
     grid = _grid(args)
-    if not args.output:
-        raise ValueError("eval requires --output PATH for the CSV")
-    write_grid_csv(f, p, grid, args.output)
-    print(f"wrote {len(grid.radii) * grid.angles} samples to {args.output}")
-    return 0
+    text = f"wrote {len(grid.radii) * grid.angles} samples to {args.output}\n"
+    return 0, text, lambda: grid_csv(f, p, grid)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     p = _params(args)
     reports = []
     if args.suite in ("sufficiency", "all"):
         reports.append(verify_sufficiency(p, args.cases, seed=args.seed, grid=_grid(args)))
     if args.suite in ("necessity", "all"):
         reports.append(verify_necessity(p, args.cases, seed=args.seed))
-    ok = True
-    for rep in reports:
-        status = "pass" if rep.all_passed else "FAIL"
-        print(
-            f"{rep.suite}: {rep.cases_passed}/{rep.cases_run} cases, "
-            f"worst margin {rep.worst_margin:.6g} [{status}]"
-        )
-        ok = ok and rep.all_passed
-    if args.output:
-        _write(args.output, json.dumps([r.to_dict() for r in reports], indent=2))
-    return 0 if ok else 1
+    text = "".join(
+        f"{rep.suite}: {rep.cases_passed}/{rep.cases_run} cases, "
+        f"worst margin {rep.worst_margin:.6g} [{'pass' if rep.all_passed else 'FAIL'}]\n"
+        for rep in reports
+    )
+    code = 0 if all(rep.all_passed for rep in reports) else 1
+    return code, text, lambda: json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,8 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_weights.set_defaults(func=_cmd_weights)
 
     p_ext = sub.add_parser("extremal", help="emit an extreme-point function")
-    p_ext.add_argument("--fn", type=int, help="analytic extreme point of degree N")
-    p_ext.add_argument("--gn", type=int, help="co-analytic extreme point of degree N")
+    degree = p_ext.add_mutually_exclusive_group(required=True)
+    degree.add_argument("--fn", type=int, help="analytic extreme point of degree N")
+    degree.add_argument("--gn", type=int, help="co-analytic extreme point of degree N")
     p_ext.add_argument("--output")
     _add_params(p_ext)
     p_ext.set_defaults(func=_cmd_extremal)
@@ -346,10 +328,14 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        code, text, document = args.func(args)
+        if args.output:
+            _write(args.output, document())
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

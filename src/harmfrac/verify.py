@@ -107,13 +107,20 @@ def find_necessity_witness(f: NegativeCoefficientForm, p: ClassParams) -> float 
     a negative radial deficiency.  For a violator of the coefficient bound
     such an r0 must exist as r -> 1; None flags a resolution failure, not a
     theorem failure."""
+    hit = _ladder(f, p)
+    return None if hit is None else hit[0]
+
+
+def _ladder(f: NegativeCoefficientForm, p: ClassParams) -> tuple[float, float] | None:
+    """(r0, Q(r0)) at the witness search's first negative rung, from one weighing of f."""
     terms, _, deficiency, _ = _membership(f, p)
     if deficiency >= 0:
         raise ValueError("witness search expects a violator (negative deficiency)")
     for j in range(1, _LADDER + 1):
         r = 1 - 10.0**-j
-        if _radial_at(p, terms, r) < 0:
-            return r
+        q = _radial_at(p, terms, r)
+        if q < 0:
+            return r, q
     return None
 
 
@@ -247,10 +254,10 @@ def verify_necessity(p: ClassParams, cases: int, seed: int = 0) -> VerificationR
     witness = None
     for i in range(cases):
         f = random_violator(p, seed + i)
-        r0 = find_necessity_witness(f, p)
-        if r0 is not None:
+        hit = _ladder(f, p)
+        if hit is not None:
             passed += 1
-            q = radial_deficiency(f, p, r0)
+            q = hit[1]
             if worst is None or q > worst:
                 worst = q
         elif witness is None:

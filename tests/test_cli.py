@@ -275,6 +275,37 @@ class TestBrokenPipe:
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+class TestUnwritableOutput:
+    """An --output that cannot be written ends in exit 2 before anything is printed."""
+
+    SMALL_GRID = ["--grid-radii", "0.5", "--grid-angles", "8"]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["check", "weights", "extremal", "decompose", "combine", "convolve", "eval", "verify"],
+    )
+    def test_nothing_on_stdout(self, tmp_path, capsys, member_file, command):
+        argv = {
+            "check": ["--input", member_file],
+            "weights": ["--n", "2"],
+            "extremal": ["--fn", "2"],
+            "decompose": ["--input", member_file],
+            "combine": ["--inputs", member_file, member_file],
+            # the member is in the class at alpha = 0.5, and closure needs beta < alpha
+            "convolve": ["--input", member_file, "--input2", member_file, "--alpha", "0.5",
+                         "--beta", "0"],
+            "eval": ["--input", member_file, *self.SMALL_GRID],
+            "verify": ["--cases", "1", *self.SMALL_GRID],
+        }[command]
+        missing = tmp_path / "missing" / "out"
+        assert run([command, *P, *argv, "--output", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+        assert not missing.parent.exists()
+
+
 class TestExtremal:
     def test_round_trip_boundary(self, tmp_path, capsys):
         out = tmp_path / "e.json"
@@ -292,7 +323,9 @@ class TestExtremal:
 
     def test_univalence_warning(self, capsys):
         assert run(["extremal", "--gn", "1", "--beta", "0"]) == 0
-        assert "univalence" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "univalence" in captured.err
+        assert json.loads(captured.out)["kind"] == "negative_form"
 
     def test_requires_exactly_one(self):
         assert run(["extremal", *P]) == 2

@@ -3,8 +3,8 @@
 Every subcommand gets random coefficient and weights files, well-formed or
 not, and parameter strings at the edges of their domains.  `run` must
 return 0, 1 or 2 and never raise; a run that exits 0 or 1 prints and writes
-no number made from nan or inf, and one that exits 2 ends with an `error:`
-line.
+no number made from nan or inf, and one that exits 2 prints nothing on
+stdout and ends with an `error:` line.
 """
 
 import io
@@ -156,6 +156,7 @@ def test_run_keeps_the_exit_code_contract(workdir, invocation):
         code = run(argv)
     assert code in (0, 1, 2)
     if code == 2:
+        assert out.getvalue() == ""
         assert "error:" in err.getvalue().splitlines()[-1]
     else:
         assert not NON_FINITE.search(out.getvalue()), out.getvalue()
