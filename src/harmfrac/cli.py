@@ -31,7 +31,7 @@ from .family import (
 )
 from .harmonic import (
     NegativeCoefficientForm,
-    _functional_at,
+    _functional_on,
     _parse_entries,
     _weighted_series,
     coefficient_json,
@@ -80,7 +80,7 @@ def _grid(args) -> DiskGrid:
         else STANDARD_GRID.radii
     )
     angles = args.grid_angles if args.grid_angles is not None else STANDARD_GRID.angles
-    return DiskGrid(radii=radii, angles=angles, tag="cli-override")
+    return DiskGrid(radii=radii, angles=angles)
 
 
 def _read(path: str) -> str:
@@ -136,10 +136,9 @@ def grid_csv(f, p: ClassParams, grid: DiskGrid) -> str:
     one row per grid point in grid order, 17 significant digits.  A value
     that overflows raises OverflowError."""
     f = f.to_harmonic()  # else jacobian() converts a fixed-sign form at every point
-    series = _weighted_series(f, p)
+    values = _functional_on(_weighted_series(f, p), grid._z)
     lines = ["r,theta,re_E,im_E,jacobian"]
-    for pt in grid.points():
-        e = _functional_at(series, pt)
+    for pt, e in zip(grid.points(), values):
         try:
             j = jacobian(f, pt)
         except OverflowError:  # float ** 2 raises where a product would give inf

@@ -210,7 +210,12 @@ def class_functional(f: AnyForm, params, z: EvalPoint) -> complex:
     with the signed co-analytic weight psi.  At z = 0 the value is 1 by
     continuity provided b_1 = 0; otherwise the conj(z)/z term has no limit.
     """
-    return _functional_at(_weighted_series(f, params), z)
+    series = _weighted_series(f, params)
+    if z.z == 0:
+        if series[0] != 0:
+            raise SingularEvaluationError("functional undefined at the origin when b_1 != 0")
+        return 1 + 0j
+    return _functional_on(series, [z.z])[0]
 
 
 def _weighted_series(f: AnyForm, params):
@@ -222,20 +227,17 @@ def _weighted_series(f: AnyForm, params):
     return f.b1, a, [(n, w * c) for (n, c), w in zip(f.b.items(), psi)]
 
 
-def _functional_at(series, z: EvalPoint) -> complex:
-    b1, a_terms, b_terms = series
-    zc = z.z
-    if zc == 0:
-        if b1 != 0:
-            raise SingularEvaluationError("functional undefined at the origin when b_1 != 0")
-        return 1 + 0j
-    value = 1 + 0j
+def _functional_on(series, zs: list[complex]) -> list[complex]:
+    """The functional at every nonzero point of ``zs``, summed one term at a
+    time over all the points."""
+    _, a_terms, b_terms = series
+    values = [1 + 0j] * len(zs)
     for e, wc in a_terms:
-        value += wc * zc**e
-    zbar = zc.conjugate()
+        values = [v + wc * z**e for v, z in zip(values, zs)]
+    qs = [z.conjugate() for z in zs]
     for n, wc in b_terms:
-        value += wc * zbar**n / zc
-    return value
+        values = [v + wc * q**n / z for v, q, z in zip(values, qs, zs)]
+    return values
 
 
 def class_functional_fd(f: AnyForm, params, z: EvalPoint, step: float = 1e-4) -> complex:

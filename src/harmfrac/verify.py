@@ -8,6 +8,7 @@ is evidence, not proof.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .gammafn import _weights
-from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, _functional_at, _weighted_series
+from .harmonic import AnyForm, EvalPoint, NegativeCoefficientForm, _functional_on, _weighted_series
 from .membership import ClassParams, _membership, analytic_weight, coefficient_deficiency
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
 _PSI_SKIP = 1e-9  # b-indices whose weight is this small are skipped by the sampler
 _MAX_INDEX = 6  # the generators draw indices up to this degree
 _LADDER = 8  # the witness search climbs r = 1 - 10^-j for j = 1, ..., _LADDER
+_RUNGS = tuple(1 - 10.0**-j for j in range(1, _LADDER + 1))
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class DiskGrid:
 
     radii: tuple[float, ...]
     angles: int
-    tag: str = "custom"
 
     def __post_init__(self):
         r = self.radii
@@ -56,18 +57,23 @@ class DiskGrid:
             raise ValueError(f"need an integer number of angles >= 8, got {self.angles!r}")
 
     @cached_property
-    def _points(self) -> tuple[EvalPoint, ...]:  # built on first use, once per grid
-        r, a = self.radii, self.angles
-        return tuple(EvalPoint.from_polar(x, 2 * math.pi * j / a) for x in r for j in range(a))
+    def _z(self) -> list[complex]:  # built on first use, once per grid
+        a = self.angles
+        thetas = [(2 * math.pi * j / a) % (2 * math.pi) for j in range(a)]
+        return [cmath.rect(x, t) for x in self.radii for t in thetas]
+
+    def _point(self, i: int) -> EvalPoint:
+        """The i-th point in grid order; its z is ``_z[i]``, by the same arithmetic."""
+        x, j = divmod(i, self.angles)
+        return EvalPoint.from_polar(self.radii[x], 2 * math.pi * j / self.angles)
 
     def points(self):
-        return iter(self._points)
+        return map(self._point, range(len(self.radii) * self.angles))
 
 
 STANDARD_GRID = DiskGrid(
     radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.995),
     angles=128,
-    tag="standard-v1",
 )
 
 
@@ -76,14 +82,9 @@ def min_real_functional(
 ) -> tuple[float, EvalPoint]:
     """Grid minimum of Re of the class functional and its argmin (first
     grid point on ties; deterministic in grid order)."""
-    series = _weighted_series(f, p)
-    best = None
-    best_pt = None
-    for pt in grid.points():
-        v = _functional_at(series, pt).real
-        if best is None or v < best:
-            best, best_pt = v, pt
-    return best, best_pt
+    re = [v.real for v in _functional_on(_weighted_series(f, p), grid._z)]
+    i = min(range(len(re)), key=re.__getitem__)
+    return re[i], grid._point(i)
 
 
 def radial_deficiency(f: NegativeCoefficientForm, p: ClassParams, r: float) -> float:
@@ -116,8 +117,7 @@ def _ladder(f: NegativeCoefficientForm, p: ClassParams) -> tuple[float, float] |
     terms, _, deficiency, _ = _membership(f, p)
     if deficiency >= 0:
         raise ValueError("witness search expects a violator (negative deficiency)")
-    for j in range(1, _LADDER + 1):
-        r = 1 - 10.0**-j
+    for r in _RUNGS:
         q = _radial_at(p, terms, r)
         if q < 0:
             return r, q
@@ -189,7 +189,8 @@ class VerificationReport:
     cases_passed: int
     worst_margin: float
     seed: int
-    grid_tag: str
+    params: ClassParams
+    grid: dict  # the radii and angles of a DiskGrid, or the witness search's ladder
     witness: dict | None = field(default=None)
 
     @property
@@ -203,7 +204,8 @@ class VerificationReport:
             "cases_passed": self.cases_passed,
             "worst_margin": self.worst_margin,
             "seed": self.seed,
-            "grid": self.grid_tag,
+            "params": self.params.to_dict(),
+            "grid": self.grid,
             "witness": self.witness,
         }
 
@@ -240,7 +242,8 @@ def verify_sufficiency(
         cases_passed=passed,
         worst_margin=worst,
         seed=seed,
-        grid_tag=grid.tag,
+        params=p,
+        grid={"radii": list(grid.radii), "angles": grid.angles},
         witness=witness,
     )
 
@@ -268,6 +271,7 @@ def verify_necessity(p: ClassParams, cases: int, seed: int = 0) -> VerificationR
         cases_passed=passed,
         worst_margin=worst if worst is not None else 0.0,
         seed=seed,
-        grid_tag="radial-ladder",
+        params=p,
+        grid={"ladder": list(_RUNGS)},
         witness=witness,
     )

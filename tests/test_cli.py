@@ -573,6 +573,16 @@ class TestVerify:
         docs = json.loads(out.read_text())
         assert [d["suite"] for d in docs] == ["sufficiency", "necessity"]
 
+    def test_report_names_its_grid_and_params(self, tmp_path):
+        out = tmp_path / "rep.json"
+        grid = ["--grid-radii", "0.3,0.6", "--grid-angles", "16"]
+        assert run(["verify", "--cases", "2", *grid, "--output", str(out), *P]) == 0
+        suff, nec = json.loads(out.read_text())
+        assert suff["grid"] == {"radii": [0.3, 0.6], "angles": 16}
+        assert nec["grid"] == {"ladder": [1 - 10.0**-j for j in range(1, 9)]}
+        params = {"beta": 0.5, "lambda": 0.0, "k": 0.0, "nu": 0.0}
+        assert suff["params"] == nec["params"] == params
+
     def test_bad_cases(self):
         assert run(["verify", "--cases", "0", *P]) == 2
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from harmfrac import (
     class_functional,
     coanalytic_weight,
     coefficient_deficiency,
+    jacobian,
     extreme_point_analytic,
     extreme_point_coanalytic,
     find_necessity_witness,
@@ -25,6 +27,7 @@ from harmfrac import (
     verify_necessity,
     verify_sufficiency,
 )
+from harmfrac.cli import grid_csv
 
 P0 = ClassParams(beta=0.5)
 
@@ -115,6 +118,63 @@ class TestMinRealFunctionalOracle:
         assert len(tied) == 2
         assert pt == tied[0] and pt.r == 0.9 and pt.theta == 0.0
         assert (low, pt) == _brute_force_min(f, P0, grid)
+
+
+def _general(rng: random.Random, a_ns, b_ns) -> HarmonicFunction:
+    def coeff(n):
+        return complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) / n
+
+    return HarmonicFunction(a={n: coeff(n) for n in a_ns}, b={n: coeff(n) for n in b_ns})
+
+
+class TestGridSumAcrossPowerAlgorithms:
+    """CPython's complex ** int multiplies repeatedly up to exponent 100 and
+    switches algorithm above it; the grid sum must agree bit for bit with the
+    per-point sum on both sides."""
+
+    GRID = DiskGrid(radii=(0.3, 0.8, 0.99), angles=24)
+
+    @pytest.mark.parametrize("j", range(len(PARAM_SETS)))
+    def test_min_real_functional_bit_identical(self, j):
+        rng = random.Random(100 + j)
+        for f in (_general(rng, (3, 99, 101, 150), (1, 100, 101, 150)), _general(rng, (150,), (2,))):
+            assert min_real_functional(f, PARAM_SETS[j], self.GRID) == _brute_force_min(
+                f, PARAM_SETS[j], self.GRID
+            )
+
+    @pytest.mark.parametrize("j", range(len(PARAM_SETS)))
+    def test_grid_csv_rows_match_pointwise(self, j):
+        p, grid = PARAM_SETS[j], self.GRID
+        f = _general(random.Random(200 + j), (3, 99, 101, 150), (1, 2, 99, 101, 150))
+        want = ["r,theta,re_E,im_E,jacobian"]
+        for r in grid.radii:
+            for k in range(grid.angles):
+                pt = EvalPoint.from_polar(r, 2 * math.pi * k / grid.angles)
+                e, jac = class_functional(f, p, pt), jacobian(f, pt)
+                want.append(f"{pt.r:.17g},{pt.theta:.17g},{e.real:.17g},{e.imag:.17g},{jac:.17g}")
+        assert grid_csv(f, p, grid) == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_one_grid_serves_every_degree(self, order):
+        p = PARAM_SETS[2]
+        grid = DiskGrid(radii=(0.5, 0.95), angles=32)
+        fs = [random_member(p, seed=7), _general(random.Random(7), (2, 150), (1, 150))][::order]
+        for f in fs:
+            assert min_real_functional(f, p, grid) == _brute_force_min(f.to_harmonic(), p, grid)
+
+    def test_grid_keeps_no_per_function_state(self):
+        # 300 terms on 128 points: a cache of powers per degree would keep
+        # 300 * 128 complex numbers (over 1 MB); the grid's own points take ~6 kB.
+        f = _general(random.Random(0), range(2, 302), ())
+        grid = DiskGrid(radii=(0.5, 0.9), angles=64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            min_real_functional(f, P0, grid)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000
 
 
 class TestMinRealFunctional:
